@@ -12,6 +12,7 @@ cross-checking the fast paths ship in :mod:`fsing.oracle`.
 from .errors import (
     DomainError,
     FSingError,
+    InvariantError,
     ParseError,
     ResourceError,
     RingMismatchError,
@@ -42,6 +43,7 @@ __all__ = [
     "FptBracket",
     "FrobModule",
     "Ideal",
+    "InvariantError",
     "MinimalityFptReport",
     "MinimalizeReport",
     "ParseError",

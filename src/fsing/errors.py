@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every module in the package.
 
-The CLI maps these onto exit codes: domain and validation problems exit 1,
-exhausted resource budgets exit 2, unparseable input exits 3.
+The CLI maps these onto exit codes: domain and validation problems and
+internal invariant failures exit 1, exhausted resource budgets exit 2,
+unparseable input exits 3.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ class ValidationError(FSingError):
     def __init__(self, message: str, witness: Any = None):
         super().__init__(message)
         self.witness = witness
+
+
+class InvariantError(FSingError):
+    """An internal invariant that every correct computation keeps failed.
+
+    Typed like every other failure, so callers and the CLI's batch mode
+    report it and go on; it always means a bug in the package.
+    """
 
 
 class ParseError(FSingError):

@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceError, RingMismatchError, ValidationError
+from .errors import (
+    DomainError,
+    InvariantError,
+    ResourceError,
+    RingMismatchError,
+    ValidationError,
+)
 from .frobroot import ideal_root
 from .groebner import Ideal
 from .polyring import Poly, Ring
@@ -31,12 +37,27 @@ def iterate_exponent(q: int, e: int) -> int:
     return (q**e - 1) // (q - 1)
 
 
+def shrink_step(relations: Ideal, multiplier: Poly, ideal: Ideal) -> Ideal:
+    """One shrinking step: relations + root(multiplier * ideal, 1), canonical.
+
+    The least ideal J with relations <= J and multiplier * ideal <= J^[q].
+    It is the ambient shrinking step of :meth:`FrobModule.minimalize` and,
+    with relations = (0), the iterated test-ideal step.
+    """
+    return (relations + ideal_root(ideal.scale(multiplier), 1)).canonical()
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Facts verified on a minimalization result."""
 
     structural_map_injective: bool
     fr_fixed: bool
+
+    @property
+    def holds(self) -> bool:
+        """Both facts are true: the presentation is minimal."""
+        return self.structural_map_injective and self.fr_fixed
 
     def as_dict(self) -> dict[str, bool]:
         return {
@@ -151,15 +172,6 @@ class FrobModule:
             .intersection(self.ambient)
         )
 
-    def _iterate_kernel(self, e: int) -> Ideal:
-        # Level-e kernel ideal of the full quotient R/relations, not cut
-        # down to the ambient ideal.  Keeping the chain at this level makes
-        # its stabilized value depend only on (relations, multiplier), which
-        # is what makes minimalize insensitive to the choice of ambient
-        # presentation; submodule-level answers intersect afterwards.
-        fe = self.multiplier ** iterate_exponent(self.ring.q, e)
-        return self.relations.bracket_power(e).colon(fe)
-
     def nilpotency_order(self, e_max: int = 32) -> int | None:
         """Smallest e with the e-fold structural map zero, or None.
 
@@ -178,15 +190,27 @@ class FrobModule:
         return None
 
     def _kernel_chain(self, e_max: int) -> tuple[Ideal, int]:
-        # Ascending chain of iterated kernels; once two consecutive levels
-        # agree the chain is frozen: K_{e+1} = (K_e^[q] : f) by the
-        # colon/bracket exchange, so K_e = K_{e+1} forces
-        # K_{e+2} = (K_{e+1}^[q] : f) = (K_e^[q] : f) = K_{e+1}.
+        """Stabilized iterated-kernel chain and the first e where it repeats.
+
+        Level e is K_e = (relations^[q^e] : f^(1 + q + ... + q^(e-1))), the
+        level-e kernel ideal of the full quotient R/relations, not cut down
+        to the ambient ideal.  Keeping the chain at this level makes its
+        stabilized value depend only on (relations, multiplier), which is
+        what makes minimalize insensitive to the choice of ambient
+        presentation; submodule-level answers intersect afterwards.
+
+        Frobenius is flat on F_p[x], so (I : g)^[q] = (I^[q] : g^q); hence
+        K_1 = (relations^[q] : f) and K_{e+1} = (K_e^[q] : f), and each
+        level costs one colon by f itself.  The chain ascends, and once
+        K_e = K_{e+1} it is frozen:
+        K_{e+2} = (K_{e+1}^[q] : f) = (K_e^[q] : f) = K_{e+1}.
+        """
         if not self.multiplier:
             return Ideal(self.ring, (self.ring.one,)).canonical(), 1
-        prev = self._iterate_kernel(1).canonical()
+        f = self.multiplier
+        prev = self.relations.bracket_power(1).colon(f).canonical()
         for e in range(1, e_max + 1):
-            nxt = self._iterate_kernel(e + 1).canonical()
+            nxt = prev.bracket_power(1).colon(f).canonical()
             if nxt == prev:
                 return prev, e
             prev = nxt
@@ -215,12 +239,12 @@ class FrobModule:
         old relations and the multiplier, never on the ambient ideal, so
         every ambient presentation of one module is carried to one and the
         same quotient presentation.  The structural map of the result is
-        injective; that is asserted, not assumed.
+        injective; that is checked, not assumed.
         """
         part, _ = self._kernel_chain(e_max)
         out = FrobModule(part, (self.ambient + part).canonical(), self.multiplier)
         if out.structural_kernel() != part:
-            raise AssertionError(
+            raise InvariantError(
                 "quotient by the stabilized kernel chain must have an "
                 "injective structural map"
             )
@@ -229,25 +253,23 @@ class FrobModule:
     def fr_inverse(self) -> "FrobModule":
         """Shrink the ambient ideal to the smallest one reached by the map.
 
-        Replaces ambient with relations + root(f * ambient, 1): the least
-        ideal J with relations <= J and f * ambient <= J^[q].  Iterating
-        this step descends to the minimal model's ambient ideal.
+        Replaces ambient with :func:`shrink_step` of it.  Iterating this
+        step descends to the minimal model's ambient ideal.
         """
-        shrunk = self.relations + ideal_root(
-            self.ambient.scale(self.multiplier), 1
-        )
-        return FrobModule(self.relations, shrunk.canonical(), self.multiplier)
+        shrunk = shrink_step(self.relations, self.multiplier, self.ambient)
+        return FrobModule(self.relations, shrunk, self.multiplier)
 
     def minimalize(
         self, kernel_budget: int = 32, iteration_budget: int = 64
     ) -> MinimalizeReport:
         """Compute the minimal model and certify it.
 
-        First quotients by the stabilized iterated-kernel chain, then
-        iterates the ambient shrinking step to its fixed point.  After the
-        fixed point is reached, two further iterates are recomputed and
-        checked equal, and the certificate re-verifies injectivity and
-        fixedness on the result.
+        First quotients by the stabilized iterated-kernel chain, which
+        costs one colon by the multiplier per level, then iterates the
+        ambient shrinking step to its fixed point.  After the fixed point
+        is reached, two further iterates are recomputed and checked equal,
+        and the certificate re-verifies injectivity and fixedness on the
+        result.
 
         The result is presentation independent: the new relations depend
         only on (relations, multiplier), and replacing this module by its
@@ -256,20 +278,12 @@ class FrobModule:
         comes out with relations equal to ambient (the stabilized kernel
         chain on both sides).
         """
-        part, chain_length = self._kernel_chain(kernel_budget)
-        relations_min = part
+        relations_min, chain_length = self._kernel_chain(kernel_budget)
         f = self.multiplier
-
-        def shrink(ideal: Ideal) -> Ideal:
-            return (relations_min + ideal_root(ideal.scale(f), 1)).canonical()
-
-        cur = (self.ambient + part).canonical()
+        cur = (self.ambient + relations_min).canonical()
         iterations = 0
         while True:
-            if f:
-                nxt = shrink(cur)
-            else:
-                nxt = relations_min.canonical()
+            nxt = shrink_step(relations_min, f, cur)
             if nxt == cur:
                 break
             cur = nxt
@@ -280,25 +294,17 @@ class FrobModule:
                     f"{iteration_budget} iterations",
                     partial=FrobModule(relations_min, cur, f),
                 )
-        if f:
-            again = shrink(cur)
-            once_more = shrink(again)
-        else:
-            again = once_more = relations_min.canonical()
+        again = shrink_step(relations_min, f, cur)
+        once_more = shrink_step(relations_min, f, again)
         if again != cur or once_more != cur:
-            raise AssertionError(
+            raise InvariantError(
                 "a repeated ambient iterate must stay fixed; the shrinking "
                 "step is monotone"
             )
         result = FrobModule(relations_min, cur, f)
-        certificate = Certificate(
-            structural_map_injective=(
-                result.structural_kernel() == result.relations
-            ),
-            fr_fixed=(result.fr_inverse().ambient == result.ambient),
-        )
-        if not (certificate.structural_map_injective and certificate.fr_fixed):
-            raise AssertionError(
+        certificate = result.certify()
+        if not certificate.holds:
+            raise InvariantError(
                 "minimal model certificate failed on the computed fixed point"
             )
         return MinimalizeReport(
@@ -308,11 +314,16 @@ class FrobModule:
             certificate=certificate,
         )
 
+    def certify(self) -> Certificate:
+        """Check the two facts that make this presentation minimal."""
+        return Certificate(
+            structural_map_injective=self.structural_kernel() == self.relations,
+            fr_fixed=self.fr_inverse().ambient == self.ambient,
+        )
+
     def is_minimal(self) -> bool:
         """True when the structural map is injective and shrinking fixes it."""
-        if self.structural_kernel() != self.relations:
-            return False
-        return self.fr_inverse().ambient == self.ambient
+        return self.certify().holds
 
     def nil_equivalent(self, other: "FrobModule") -> bool:
         """Whether both presentations share one minimal model.

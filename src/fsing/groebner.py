@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ResourceError, RingMismatchError
+from .errors import DomainError, InvariantError, ResourceError, RingMismatchError
 from .polyring import Exponents, Poly, Ring
 
 # Default cap on S-pairs processed per basis computation; override per call
@@ -278,11 +278,6 @@ class Ideal:
         out._gb = self._gb
         return out
 
-    def _with_basis(self, gb: tuple[Poly, ...]) -> "Ideal":
-        out = Ideal(self.ring, gb)
-        out._gb = gb
-        return out
-
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -384,7 +379,7 @@ class Ideal:
         for g in inter.gens:
             quots, rem = poly_division(g, [f])
             if rem:
-                raise AssertionError(
+                raise InvariantError(
                     "intersection with a principal ideal must be divisible "
                     "by its generator"
                 )
@@ -419,6 +414,6 @@ def _project(g: Poly, base: Ring) -> Poly:
     terms: dict[Exponents, int] = {}
     for m, c in g._terms.items():
         if m[0] != 0:
-            raise AssertionError("projection applied to a term with the aux variable")
+            raise InvariantError("projection applied to a term with the aux variable")
         terms[m[1:]] = c
     return Poly(base, terms)

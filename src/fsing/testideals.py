@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ResourceError
-from .frobmod import FrobModule, iterate_exponent
-from .frobroot import ideal_root, poly_root
+from .errors import DomainError, InvariantError, ResourceError
+from .frobmod import FrobModule, iterate_exponent, shrink_step
+from .frobroot import poly_root
 from .groebner import Ideal
 from .oracle import bracket_membership_oracle
 from .polyring import Poly
@@ -61,10 +61,11 @@ def je_chain(f: Poly, e_max: int) -> list[ChainLevel]:
         raise DomainError(f"chain length must be >= 1, got {e_max}")
     ring = f.ring
     q = ring.q
+    zero = Ideal(ring, ())
     levels: list[ChainLevel] = []
     iterated = Ideal(ring, (ring.one,))
     for e in range(1, e_max + 1):
-        iterated = ideal_root(iterated.scale(f), 1).canonical()
+        iterated = shrink_step(zero, f, iterated)
         direct = test_ideal(f, iterate_exponent(q, e), e).canonical()
         levels.append(
             ChainLevel(level=e, direct=direct, iterated=iterated, equal=direct == iterated)
@@ -140,10 +141,11 @@ _CHAIN_BUDGET = 64
 def minimality_vs_fpt(f: Poly, e_max: int = 6) -> MinimalityFptReport:
     """Cross-check minimality of the principal module against thresholds.
 
-    Asserts that minimality of the module on f is equivalent to the
+    Checks that minimality of the module on f is equivalent to the
     iterated test-ideal chain staying at the unit ideal, and, when the
     level-``e_max`` bracket exists and the module is minimal, that the
-    bracket is consistent with a threshold >= 1/(q-1).
+    bracket is consistent with a threshold >= 1/(q-1); a failed check
+    raises :class:`InvariantError`.
     """
     if not f:
         raise DomainError("the cross-check requires a nonzero multiplier")
@@ -153,12 +155,13 @@ def minimality_vs_fpt(f: Poly, e_max: int = 6) -> MinimalityFptReport:
     q = ring.q
     minimal = FrobModule.principal(f).is_minimal()
 
+    zero = Ideal(ring, ())
     unit = Ideal(ring, (ring.one,)).canonical()
     chain_unit = True
     stabilized_at = None
     prev = unit
     for e in range(1, _CHAIN_BUDGET + 1):
-        cur = ideal_root(prev.scale(f), 1).canonical()
+        cur = shrink_step(zero, f, prev)
         if cur != unit:
             chain_unit = False
         if cur == prev:
@@ -173,12 +176,12 @@ def minimality_vs_fpt(f: Poly, e_max: int = 6) -> MinimalityFptReport:
     bracket = fpt_bracket(f, e_max) if f.constant_term() == 0 else None
 
     if minimal != chain_unit:
-        raise AssertionError(
+        raise InvariantError(
             "minimality of the principal module must match a unit test-ideal "
             f"chain; got minimal={minimal}, chain_unit={chain_unit} for f={f}"
         )
     if minimal and bracket is not None and bracket.hi < Fraction(1, q - 1):
-        raise AssertionError(
+        raise InvariantError(
             "a minimal principal module forces a threshold >= 1/(q-1); the "
             f"level-{e_max} bracket {bracket} contradicts that for f={f}"
         )

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from fsing.cli import main
-from fsing import Ideal, Ring
+from fsing import Certificate, FrobModule, Ideal, Ring
 
 
 def run_cli(capsys, *argv):
@@ -309,6 +309,46 @@ class TestBatchMode:
         )
         assert code == 1
         assert "cannot read" in err
+
+
+class TestInvariantFailure:
+    # A certificate that fails on the multiplier x^2 only; minimalize
+    # must report it as a typed error, never as a traceback.
+    @pytest.fixture(autouse=True)
+    def broken_certificate(self, monkeypatch):
+        certify = FrobModule.certify
+
+        def broken(module):
+            cert = certify(module)
+            if module.multiplier == module.ring("x^2"):
+                return Certificate(structural_map_injective=False, fr_fixed=cert.fr_fixed)
+            return cert
+
+        monkeypatch.setattr(FrobModule, "certify", broken)
+
+    def test_json_error_record(self, capsys):
+        code, record, err = run_json(
+            capsys, "minimalize", "--p", "2", "--vars", "x", "--json", "x^2"
+        )
+        assert code == 1
+        assert record["error"]["type"] == "InvariantError"
+        assert "certificate failed" in record["error"]["message"]
+        assert "Traceback" not in err
+
+    def test_batch_goes_on_to_the_next_line(self, capsys, tmp_path):
+        batch = tmp_path / "inputs.txt"
+        batch.write_text("x^2\nx^3\n")
+        code, out, _ = run_cli(
+            capsys, "minimalize", "--p", "2", "--vars", "x", "--file", str(batch),
+        )
+        assert code == 1
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(records) == 2
+        assert records[0]["error"]["type"] == "InvariantError"
+        assert records[1]["certificate"] == {
+            "structural-map-injective": True,
+            "fr-fixed": True,
+        }
 
 
 class TestVerify:

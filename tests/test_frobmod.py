@@ -36,6 +36,12 @@ def principal(ring: Ring, f) -> FrobModule:
     return FrobModule.principal(ring(f))
 
 
+def direct_kernel(module: FrobModule, e: int) -> Ideal:
+    # level-e iterated kernel in one colon, independent of the recurrence
+    f_e = module.multiplier ** iterate_exponent(module.ring.q, e)
+    return module.relations.bracket_power(e).colon(f_e)
+
+
 class TestIterateExponent:
     @pytest.mark.parametrize(
         "q,e,expected", [(2, 0, 0), (2, 1, 1), (2, 3, 7), (3, 2, 4), (5, 3, 31)]
@@ -189,11 +195,28 @@ class TestNilpotentPart:
             module = rand_module(rng, POOL_RINGS[_ % 4])
             if not module.multiplier:
                 continue
-            prev = module._iterate_kernel(1)
+            prev = direct_kernel(module, 1)
             for e in (2, 3):
-                nxt = module._iterate_kernel(e)
+                nxt = direct_kernel(module, e)
                 assert prev <= nxt
                 prev = nxt
+
+    def test_recurrence_matches_direct_levels(self):
+        # the chain built by K_{e+1} = (K_e^[q] : f) stops at the first
+        # level where the direct colons by f^(1+q+...+q^(e-1)) repeat
+        rng = random.Random(107)
+        (x,) = R1.gens
+        modules = [FrobModule(Ideal(R1, (x**8,)), Ideal(R1, (R1.one,)), x**9)]
+        modules += [rand_module(rng, POOL_RINGS[i % 4]) for i in range(20)]
+        for module in modules:
+            if not module.multiplier:
+                continue
+            chain, length = module._kernel_chain(32)
+            levels = [direct_kernel(module, e) for e in range(1, length + 2)]
+            assert chain == levels[length - 1]
+            assert levels[length - 1] == levels[length]
+            for e in range(1, length):
+                assert levels[e - 1] != levels[e]
 
     def test_budget_exhaustion_raises(self):
         (x,) = R1.gens
