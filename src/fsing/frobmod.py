@@ -30,6 +30,9 @@ from .groebner import Ideal
 from .polyring import Poly, Ring
 
 
+_KERNEL_BUDGET = 32  # levels the iterated kernel chain may climb
+
+
 def iterate_exponent(q: int, e: int) -> int:
     """Multiplier exponent of the e-fold structural map: 1 + q + ... + q**(e-1)."""
     if e < 0:
@@ -173,23 +176,31 @@ class FrobModule:
         )
 
     def nilpotency_order(self, e_max: int = 32) -> int | None:
-        """Smallest e with the e-fold structural map zero, or None.
+        """Smallest e <= e_max with the e-fold structural map zero, or None.
 
-        None means the module is not nilpotent within the budget; the
-        caller cannot distinguish "not nilpotent" from "order > e_max".
+        The e-fold map vanishes when f^(1+q+...+q^(e-1)) * ambient <=
+        relations^[q^e], that is, when the level-e root of the left side
+        lies in the relations.  By (g^q h)^[1/q] = g h^[1/q], and since
+        validity puts root(f * relations, 1) inside the relations, the
+        relations plus that root is the e-th :func:`shrink_step` from the
+        ambient ideal; the order is the first e where it equals the
+        relations.  None means either that a step changed nothing above
+        the relations (never nilpotent) or that e_max steps did not reach
+        them (order > e_max, if any).
         """
         if e_max < 1:
             raise DomainError("the nilpotency budget must be >= 1")
-        f = self.multiplier
-        q = self.ring.q
+        cur = self.ambient
         for e in range(1, e_max + 1):
-            fe = f ** iterate_exponent(q, e)
-            bracket = self.relations.bracket_power(e)
-            if all(bracket.contains(fe * g) for g in self.ambient.gens):
+            nxt = shrink_step(self.relations, self.multiplier, cur)
+            if nxt == self.relations:
                 return e
+            if cur <= nxt:  # steps descend, so nxt == cur
+                return None
+            cur = nxt
         return None
 
-    def _kernel_chain(self, e_max: int) -> tuple[Ideal, int]:
+    def _kernel_chain(self, e_max: int = _KERNEL_BUDGET) -> tuple[Ideal, int]:
         """Stabilized iterated-kernel chain and the first e where it repeats.
 
         Level e is K_e = (relations^[q^e] : f^(1 + q + ... + q^(e-1))), the
@@ -219,19 +230,19 @@ class FrobModule:
             partial=prev,
         )
 
-    def nilpotent_part(self, e_max: int = 32) -> Ideal:
+    def nilpotent_part(self) -> Ideal:
         """Ideal presenting the largest submodule killed by some iterate.
 
         The returned ideal J satisfies relations <= J <= ambient and J
         modulo the relations is the union of the iterated kernels inside
         this module.
         """
-        part, _ = self._kernel_chain(e_max)
+        part, _ = self._kernel_chain()
         return part.intersection(self.ambient).canonical()
 
     # -- the two minimalization moves --------------------------------------
 
-    def mod_nilpotent(self, e_max: int = 32) -> "FrobModule":
+    def mod_nilpotent(self) -> "FrobModule":
         """Quotient by the largest iterate-killed submodule.
 
         The result presents the same quotient module with the stabilized
@@ -241,7 +252,7 @@ class FrobModule:
         same quotient presentation.  The structural map of the result is
         injective; that is checked, not assumed.
         """
-        part, _ = self._kernel_chain(e_max)
+        part, _ = self._kernel_chain()
         out = FrobModule(part, (self.ambient + part).canonical(), self.multiplier)
         if out.structural_kernel() != part:
             raise InvariantError(
@@ -259,9 +270,7 @@ class FrobModule:
         shrunk = shrink_step(self.relations, self.multiplier, self.ambient)
         return FrobModule(self.relations, shrunk, self.multiplier)
 
-    def minimalize(
-        self, kernel_budget: int = 32, iteration_budget: int = 64
-    ) -> MinimalizeReport:
+    def minimalize(self, iteration_budget: int = 64) -> MinimalizeReport:
         """Compute the minimal model and certify it.
 
         First quotients by the stabilized iterated-kernel chain, which
@@ -278,7 +287,7 @@ class FrobModule:
         comes out with relations equal to ambient (the stabilized kernel
         chain on both sides).
         """
-        relations_min, chain_length = self._kernel_chain(kernel_budget)
+        relations_min, chain_length = self._kernel_chain()
         f = self.multiplier
         cur = (self.ambient + relations_min).canonical()
         iterations = 0

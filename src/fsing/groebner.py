@@ -6,8 +6,8 @@ normal selection strategy (smallest pair lcm first).  Every ideal exposes
 its reduced basis, which is unique for a fixed monomial order, so ideal
 equality, membership, intersection and quotients are all exact decisions.
 
-A module-wide S-pair budget bounds every basis computation; exceeding it
-raises :class:`ResourceError` with the partial basis attached.
+The S-pair budget ``DEFAULT_MAX_SPAIRS`` bounds every basis an Ideal
+computes; exceeding it raises :class:`ResourceError` with the partial basis.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 from .errors import DomainError, InvariantError, ResourceError, RingMismatchError
 from .polyring import Exponents, Poly, Ring
 
-# Default cap on S-pairs processed per basis computation; override per call
-# or rebind (the CLI does) to change the budget process-wide.
+# Cap on S-pairs per basis computation; only ``buchberger(max_spairs=)``
+# overrides it per call, and the CLI's ``--budget-spairs`` rebinds it.
 DEFAULT_MAX_SPAIRS = 200_000
 
 
@@ -266,10 +266,10 @@ class Ideal:
 
     # -- canonical basis ------------------------------------------------
 
-    def groebner(self, max_spairs: int | None = None) -> tuple[Poly, ...]:
+    def groebner(self) -> tuple[Poly, ...]:
         """The reduced Groebner basis (cached after the first call)."""
         if self._gb is None:
-            self._gb = buchberger(self.gens, self.ring, max_spairs)
+            self._gb = buchberger(self.gens, self.ring)
         return self._gb
 
     def canonical(self) -> "Ideal":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InvariantError, ResourceError
+from .errors import DomainError, InvariantError
 from .frobmod import FrobModule, iterate_exponent, shrink_step
 from .frobroot import poly_root
 from .groebner import Ideal
@@ -135,9 +135,6 @@ class MinimalityFptReport:
     bracket: FptBracket | None
 
 
-_CHAIN_BUDGET = 64
-
-
 def minimality_vs_fpt(f: Poly, e_max: int = 6) -> MinimalityFptReport:
     """Cross-check minimality of the principal module against thresholds.
 
@@ -145,33 +142,20 @@ def minimality_vs_fpt(f: Poly, e_max: int = 6) -> MinimalityFptReport:
     iterated test-ideal chain staying at the unit ideal, and, when the
     level-``e_max`` bracket exists and the module is minimal, that the
     bracket is consistent with a threshold >= 1/(q-1); a failed check
-    raises :class:`InvariantError`.
+    raises :class:`InvariantError`.  The iterated chain is the shrinking
+    chain that minimalize walks on the principal module; it descends from
+    (1), so it stays at (1) exactly when its fixed point does.
     """
     if not f:
         raise DomainError("the cross-check requires a nonzero multiplier")
     if e_max < 1:
         raise DomainError(f"bracket levels must be >= 1, got {e_max}")
-    ring = f.ring
-    q = ring.q
-    minimal = FrobModule.principal(f).is_minimal()
-
-    zero = Ideal(ring, ())
-    unit = Ideal(ring, (ring.one,)).canonical()
-    chain_unit = True
-    stabilized_at = None
-    prev = unit
-    for e in range(1, _CHAIN_BUDGET + 1):
-        cur = shrink_step(zero, f, prev)
-        if cur != unit:
-            chain_unit = False
-        if cur == prev:
-            stabilized_at = e
-            break
-        prev = cur
-    if stabilized_at is None:
-        raise ResourceError(
-            f"test-ideal chain did not stabilize within {_CHAIN_BUDGET} levels"
-        )
+    q = f.ring.q
+    module = FrobModule.principal(f)
+    minimal = module.is_minimal()
+    report = module.minimalize()
+    chain_unit = report.result.ambient.is_unit()
+    stabilized_at = report.fr_iterations + 1
 
     bracket = fpt_bracket(f, e_max) if f.constant_term() == 0 else None
 

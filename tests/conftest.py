@@ -70,9 +70,10 @@ def valid_multipliers(relations: Ideal, ambient: Ideal) -> Ideal:
 
 
 def rand_module(rng: random.Random, ring: Ring) -> FrobModule:
-    # Multipliers are kept small: iterated kernels take powers f^(1+q+q^2+..)
-    # whose Groebner cost grows steeply with the degree and term count of f,
-    # and the pools feed timed acceptance runs.
+    # Multipliers are kept small: each kernel-chain level is a colon by f and
+    # each shrinking step a root of f times an ideal, whose Groebner cost
+    # grows steeply with the degree and term count of f, and the pools feed
+    # timed acceptance runs.
     relations = rand_ideal(rng, ring, max_gens=2, max_terms=2, max_degree=3)
     if rng.random() < 0.5:
         ambient = Ideal(ring, (ring.one,))

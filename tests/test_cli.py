@@ -163,6 +163,19 @@ class TestHumanOutput:
         assert code == 0
         assert out.strip() == "not nilpotent within budget 4"
 
+    def test_non_nilpotent_module_at_the_default_budget(self, capsys):
+        # answered as soon as the shrinking chain stops above K
+        code, record, _ = run_json(
+            capsys,
+            "nilpotency", "--p", "3", "--vars", "x,y",
+            "--K", "2*x+y", "--N", "2*x+y;2*x",
+            "--json", "2*x^2*y^3+2*x*y^4+2*y^5",
+        )
+        assert code == 0
+        assert record["result"]["order"] is None
+        assert record["result"]["within_budget"] is False
+        assert record["result"]["budget"] == 32
+
 
 class TestIdealArguments:
     def test_minimalize_with_relations(self, capsys):

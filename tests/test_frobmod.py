@@ -153,10 +153,30 @@ class TestNilpotency:
         (x,) = R1.gens
         one = Ideal(R1, (R1.one,))
         assert FrobModule(Ideal(R1, (x**4,)), one, x**5).nilpotency_order() == 3
-        assert FrobModule(Ideal(R1, (x**8,)), one, x**9).nilpotency_order() == 4
+        k8 = FrobModule(Ideal(R1, (x**8,)), one, x**9)
+        assert k8.nilpotency_order() == 4
+        assert k8.nilpotency_order(3) is None
+        assert k8.nilpotency_order(4) == 4
+
+    def test_non_nilpotent_module_returns_at_a_large_budget(self):
+        # the chain from the ambient ideal stops above the relations, so the
+        # answer is None without walking all 32 levels
+        R = Ring(p=3, var_names=("x", "y"))
+        module = FrobModule.validate(
+            Ideal(R, (R("2*x+y"),)),
+            Ideal(R, (R("2*x+y"), R("2*x"))),
+            R("2*x^2*y^3+2*x*y^4+2*y^5"),
+        )
+        assert module.nilpotency_order(32) is None
 
     def test_order_matches_definition(self):
-        # the reported order e is the first level whose iterate vanishes
+        # the reported order is the first level whose iterate vanishes, by
+        # the definition: f^(1+q+...+q^(e-1)) * ambient <= relations^[q^e]
+        def vanishes(module: FrobModule, e: int) -> bool:
+            fe = module.multiplier ** iterate_exponent(module.ring.q, e)
+            bracket = module.relations.bracket_power(e)
+            return all(bracket.contains(fe * g) for g in module.ambient.gens)
+
         rng = random.Random(103)
         (x,) = R1.gens
         one = Ideal(R1, (R1.one,))
@@ -167,16 +187,8 @@ class TestNilpotency:
         ]
         modules += [rand_module(rng, POOL_RINGS[i % 4]) for i in range(20)]
         for module in modules:
-            order = module.nilpotency_order(6)
-            if order is None or order < 2:
-                continue
-            q = module.ring.q
-            f = module.multiplier
-            before = module.relations.bracket_power(order - 1)
-            fe = f ** iterate_exponent(q, order - 1)
-            assert not all(
-                before.contains(fe * g) for g in module.ambient.gens
-            )
+            first = next((e for e in range(1, 7) if vanishes(module, e)), None)
+            assert module.nilpotency_order(6) == first
 
 
 class TestNilpotentPart:
