@@ -1,11 +1,23 @@
 """Test ideals of principal ideals, threshold brackets, and cross-checks.
 
 The level-e test ideal of f at exponent m/q**e is the level-e Frobenius
-root of (f**m).  Two chains probe the same minimal-model theory from
-different angles: the direct chain evaluates the root of f at exponent
-1 + q + ... + q**(e-1) in one shot, while the iterated chain applies a
-single multiply-and-root step e times starting from the unit ideal.  They
-agree level by level, and they collapse to the unit ideal exactly when the
+root of (f**m).  It is computed as a descent that never expands f**m.
+Write m = d_0 + d_1*q + ... + d_{e-1}*q**(e-1) + q**e * r with digits d_i
+in [0, q-1].  Since (g**q * h)^[1/q] = g * h^[1/q], the root of f**m is
+f**r * J_e, where J_0 = (1) and J_{i+1} = root(f**d_i * J_i, 1): the
+shrinking step of :mod:`fsing.frobmod` with relations (0).
+
+By adjunction, root(g, e) lies in the maximal ideal (x_1..x_n) exactly
+when g lies in its q**e-th bracket power.  So nu, the largest m with f**m
+outside that bracket power, is read off descents digit by digit: the
+level-e value is q times the level-(e-1) value plus one more digit, and
+only that digit is searched.
+
+Two chains probe the same minimal-model theory from different angles: the
+direct chain expands f at exponent 1 + q + ... + q**(e-1) and takes its
+level-e root in one shot, while the iterated chain applies the single
+multiply-and-root step e times starting from the unit ideal.  They agree
+level by level, and they collapse to the unit ideal exactly when the
 principal module on f is already minimal; over the threshold side, the
 level-e bracket pins the F-pure threshold of f at the origin into an
 interval of width q**-e.
@@ -15,28 +27,74 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import DomainError, InvariantError
 from .frobmod import FrobModule, iterate_exponent, shrink_step
 from .frobroot import poly_root
 from .groebner import Ideal
-from .oracle import bracket_membership_oracle
 from .polyring import Poly
+
+
+class _Descent:
+    """The descent J_0 = (1), J_{i+1} = root(f**d_i * J_i, 1) for one f.
+
+    Each step is computed once per instance, keyed by its digit and the
+    reduced basis of its input; an instance lives for one call of
+    :func:`test_ideal` or :func:`nu` only.
+    """
+
+    def __init__(self, f: Poly):
+        ring = f.ring
+        self.f = f
+        self.zero = Ideal(ring, ())
+        self.unit = Ideal(ring, (ring.one,)).canonical()
+        self.steps: dict[tuple[int, tuple[Poly, ...]], Ideal] = {}
+
+    def step(self, d: int, ideal: Ideal) -> Ideal:
+        """root(f**d * ideal, 1), canonical."""
+        key = (d, ideal.groebner())
+        out = self.steps.get(key)
+        if out is None:
+            out = self.steps[key] = shrink_step(self.zero, self.f**d, ideal)
+        return out
+
+    def __call__(self, digits: Iterable[int]) -> Ideal:
+        """J_k for the digits d_0, d_1, ..., d_{k-1}, lowest first."""
+        cur = self.unit
+        for d in digits:
+            cur = self.step(d, cur)
+        return cur
 
 
 def test_ideal(f: Poly, m: int, e: int) -> Ideal:
     """Test ideal of f at exponent m/q**e: the level-e root of (f**m).
 
-    m == 0 yields the unit ideal; the level e must be >= 1.
+    Computed as f**r * J_e by the descent over the base-q digits d_i of
+    m = d_0 + d_1*q + ... + d_{e-1}*q**(e-1) + q**e * r (see the module
+    docstring), so f**m is never expanded.  m == 0 yields the unit ideal;
+    the level e must be >= 1.
     """
     if m < 0:
         raise DomainError(f"test ideal exponents are nonnegative, got m={m}")
     if e < 1:
         raise DomainError(f"test ideal levels must be >= 1, got {e}")
-    ring = f.ring
-    if m == 0:
-        return Ideal(ring, (ring.one,))
-    return poly_root(f**m, e)
+    q = f.ring.q
+    digits: list[int] = []
+    rest = m
+    while rest and len(digits) < e:
+        rest, d = divmod(rest, q)
+        digits.append(d)
+    descent = _Descent(f)
+    cur = descent(digits)
+    # The remaining e - len(digits) digits are 0, so each remaining step is
+    # a plain root; once one changes nothing, none of the rest does.
+    for _ in range(len(digits), e):
+        nxt = descent.step(0, cur)
+        if nxt == cur:
+            break
+        cur = nxt
+    return cur.scale(f**rest) if rest else cur
 
 
 @dataclass(frozen=True)
@@ -53,9 +111,11 @@ def je_chain(f: Poly, e_max: int) -> list[ChainLevel]:
     """Compare the two test-ideal chains level by level up to e_max.
 
     ``direct`` is the level-e test ideal at exponent
-    (1 + q + ... + q**(e-1))/q**e; ``iterated`` applies the single
-    multiply-and-root step e times from the unit ideal.  The ``equal``
-    flags record the comparison instead of assuming it.
+    (1 + q + ... + q**(e-1))/q**e, taken as the one-shot root of the
+    expanded power rather than by the descent of :func:`test_ideal`, so
+    that the two columns are independent routes; ``iterated`` applies the
+    single multiply-and-root step e times from the unit ideal.  The
+    ``equal`` flags record the comparison instead of assuming it.
     """
     if e_max < 1:
         raise DomainError(f"chain length must be >= 1, got {e_max}")
@@ -66,7 +126,7 @@ def je_chain(f: Poly, e_max: int) -> list[ChainLevel]:
     iterated = Ideal(ring, (ring.one,))
     for e in range(1, e_max + 1):
         iterated = shrink_step(zero, f, iterated)
-        direct = test_ideal(f, iterate_exponent(q, e), e).canonical()
+        direct = poly_root(f ** iterate_exponent(q, e), e).canonical()
         levels.append(
             ChainLevel(level=e, direct=direct, iterated=iterated, equal=direct == iterated)
         )
@@ -77,8 +137,14 @@ def nu(f: Poly, e: int) -> int:
     """Largest m with f**m outside the bracket power of the maximal ideal.
 
     Requires f nonzero and f(0) == 0 (otherwise no power ever enters, or
-    every one does).  Found by binary search on m in [0, n*q**e]; the
-    membership test is a pure monomial-divisibility check, no bases.
+    every one does).  By adjunction, f**m lies outside (x_1..x_n)^[q**k]
+    exactly when its level-k root, the descent J_k over the digits of m,
+    has a generator with a nonzero constant term.  Found digit by digit:
+    nu(0) = 0 and nu(k) = q*nu(k-1) + d with d in [0, q-1]
+    (Mustata-Takagi-Watanabe).  d = 0 is always outside, by flatness of
+    Frobenius, and d = q always inside, so the largest d outside is found
+    by bisection; membership is monotone in d.  Descent steps repeat
+    across levels and candidates and are computed once per call.
     """
     if e < 1:
         raise DomainError(f"threshold levels must be >= 1, got {e}")
@@ -86,17 +152,22 @@ def nu(f: Poly, e: int) -> int:
         raise DomainError("nu is undefined for the zero polynomial")
     if f.constant_term() != 0:
         raise DomainError("nu requires a polynomial vanishing at the origin")
-    ring = f.ring
-    # Every term of f**m has degree >= m, and any monomial of degree
-    # > n*(q**e - 1) has some exponent >= q**e, so m = n*q**e is inside.
-    lo, hi = 0, ring.n * ring.q**e
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bracket_membership_oracle(f**mid, e):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    q = f.ring.q
+    descent = _Descent(f)
+    digits: list[int] = []  # digits of the current value, lowest first
+    value = 0
+    for _ in range(e):
+        lo, hi = 0, q
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            root = descent([mid] + digits)
+            if any(g.constant_term() for g in root.gens):
+                lo = mid
+            else:
+                hi = mid
+        digits.insert(0, lo)
+        value = q * value + lo
+    return value
 
 
 @dataclass(frozen=True)

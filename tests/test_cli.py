@@ -176,6 +176,16 @@ class TestHumanOutput:
         assert record["result"]["within_budget"] is False
         assert record["result"]["budget"] == 32
 
+    def test_fpt_at_a_deep_level(self, capsys):
+        # nu is found digit by digit; no power of f is expanded
+        code, record, _ = run_json(
+            capsys,
+            "fpt", "--p", "2", "--vars", "x,y,z", "--max-e", "16",
+            "--json", "x^3+y^3+z^3+x*y*z",
+        )
+        assert code == 0
+        assert record["result"]["nu"] == 65535
+
 
 class TestIdealArguments:
     def test_minimalize_with_relations(self, capsys):
@@ -229,14 +239,15 @@ class TestExitCodes:
         assert "error" in err
 
     def test_resource_error(self, capsys):
-        # the root is (x*y + y^2, x^2), whose basis needs an S-pair
-        code, _, err = run_cli(
-            capsys,
-            "root", "--p", "2", "--vars", "x,y",
-            "--budget-spairs", "0", "x^2*y^2 + y^4; x^4",
-        )
-        assert code == 2
-        assert "error" in err
+        for argv in [
+            # the root is (x*y + y^2, x^2), whose basis needs an S-pair
+            ["root", "--p", "2", "--vars", "x,y", "x^2*y^2 + y^4; x^4"],
+            # a descent step of nu builds a basis that needs an S-pair
+            ["fpt", "--p", "2", "--vars", "x,y", "--max-e", "4", "x^2*y + x*y^3 + y^5"],
+        ]:
+            code, _, err = run_cli(capsys, *argv, "--budget-spairs", "0")
+            assert code == 2, argv
+            assert "error" in err
 
     def test_iteration_budget(self, capsys):
         code, _, err = run_cli(

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import fsing
 from fsing import Ideal, ResourceError, Ring
 from fsing.oracle import (
     _antichains,
@@ -188,3 +191,45 @@ class TestExpressInIdeal:
                 assert Ideal(ring, tuple(gens)).contains(f)
                 hits += 1
         assert hits >= 5
+
+
+def _imports_oracle(node: ast.AST) -> bool:
+    # names an import statement inside src/fsing may bind, made absolute
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+        base = ".".join(filter(None, ["fsing" if node.level else "", node.module]))
+        names = [base] + [f"{base}.{a.name}" for a in node.names]
+    else:
+        return False
+    return any(n == "fsing.oracle" or n.startswith("fsing.oracle.") for n in names)
+
+
+def test_only_the_cli_imports_the_oracles():
+    # the fast paths never lean on the checks that certify them; only the
+    # ``verify`` subcommand runs an oracle
+    package = pathlib.Path(fsing.__file__).parent
+    importers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if any(map(_imports_oracle, ast.walk(ast.parse(path.read_text()))))
+    )
+    assert importers == ["cli.py"]
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        ("from .oracle import monomial_root_oracle", True),
+        ("from . import oracle", True),
+        ("from fsing.oracle import _antichains", True),
+        ("from fsing import oracle as o", True),
+        ("import fsing.oracle", True),
+        ("from .frobroot import poly_root", False),
+        ("from . import groebner", False),
+        ("import oracle", False),
+    ],
+)
+def test_oracle_import_detector(source, expected):
+    (node,) = ast.parse(source).body
+    assert _imports_oracle(node) is expected

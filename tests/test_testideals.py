@@ -16,6 +16,7 @@ from fsing import (
     je_chain,
     minimality_vs_fpt,
     nu,
+    poly_root,
 )
 from fsing import test_ideal as tau
 from fsing.oracle import bracket_membership_oracle
@@ -26,6 +27,9 @@ R1 = Ring(p=2, var_names=("x",))
 R2 = Ring(p=2, var_names=("x", "y"))
 R3 = Ring(p=3, var_names=("x",))
 R32 = Ring(p=3, var_names=("x", "y"))
+R5 = Ring(p=5, var_names=("x",))
+CUBIC_RING = Ring(p=2, var_names=("x", "y", "z"))
+CUBIC = CUBIC_RING("x^3 + y^3 + z^3 + x*y*z")
 
 
 def ideal_of(ring: Ring, *gens: str) -> Ideal:
@@ -72,6 +76,33 @@ class TestTestIdeal:
             f = rand_poly(rng, ring, 2, 3, nonzero=True)
             q = ring.q
             assert tau(f, 3 * q, 2) == tau(f, 3, 1)
+
+    def test_descent_matches_expanded_root(self):
+        # the descent against the one-shot root of the expanded power,
+        # over m in [0, 2*q^e + 2]: m = 0, every digit pattern, and the
+        # f^r factor for m >= q^e
+        rng = random.Random(29)
+        rings = [
+            Ring(p=p, var_names=names)
+            for p in (2, 3, 5)
+            for names in (("x",), ("x", "y"), ("x", "y", "z"))
+        ]
+        checked = 0
+        for _ in range(60):
+            ring = rng.choice(rings)
+            f = rand_poly(rng, ring, 3, 3, nonzero=True)
+            q = ring.q
+            for e in (1, 2, 3):
+                top = 2 * q**e + 2
+                exponents = {0, q**e, top} | {rng.randint(0, top) for _ in range(3)}
+                for m in sorted(exponents):
+                    assert tau(f, m, e) == poly_root(f**m, e), (ring, f, m, e)
+                    checked += 1
+        assert checked >= 800
+
+    def test_large_exponent_without_expansion(self):
+        # f**(10**6) exceeds the degree guard; the descent never forms it
+        assert tau(CUBIC, 10**6, 20).is_unit()
 
 
 class TestJeChain:
@@ -136,8 +167,9 @@ class TestNu:
                 assert nu(ring("x*y"), e) == q**e - 1
 
     def test_cusp_in_characteristic_two(self):
+        # at level 24 an expanded f**m would exceed the degree guard
         f = R2("x^2 + y^3")
-        for e in range(1, 7):
+        for e in (1, 2, 3, 4, 5, 6, 12, 24):
             assert nu(f, e) == 2 ** (e - 1) - 1
 
     def test_domain_errors(self):
@@ -152,11 +184,11 @@ class TestNu:
         rng = random.Random(23)
         checked = 0
         for _ in range(20):
-            ring = rng.choice([R1, R2, R3])
+            ring = rng.choice([R1, R2, R3, R5])
             f = rand_poly(rng, ring, 2, 3)
             if not f or f.constant_term() != 0:
                 continue
-            for e in (1, 2):
+            for e in (1, 2, 3):
                 value = nu(f, e)
                 m = 0
                 while not bracket_membership_oracle(f ** (m + 1), e):
@@ -164,6 +196,24 @@ class TestNu:
                 assert value == m
                 checked += 1
         assert checked >= 8
+
+    def test_digit_bracket(self):
+        # Mustata-Takagi-Watanabe: q*nu(e-1) <= nu(e) <= q*nu(e-1) + q - 1
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(30):
+            ring = rng.choice([R1, R2, R3, R32, R5, CUBIC_RING])
+            f = rand_poly(rng, ring, 3, 3)
+            if not f or f.constant_term() != 0:
+                continue
+            q = ring.q
+            previous = 0
+            for e in (1, 2, 3, 4):
+                value = nu(f, e)
+                assert q * previous <= value <= q * previous + q - 1, (ring, f, e)
+                previous = value
+            checked += 1
+        assert checked >= 15
 
     def test_against_ideal_membership(self):
         # independent of the divisibility oracle: genuine normal forms
@@ -211,6 +261,11 @@ class TestFptBracket:
                 for e in (2, 3, 4):
                     bracket = fpt_bracket(x**a, e)
                     assert bracket.lo < Fraction(1, a) <= bracket.hi
+
+    def test_cubic_at_level_sixteen(self):
+        bracket = fpt_bracket(CUBIC, 16)
+        assert bracket.nu == 2**16 - 1
+        assert bracket.hi == 1
 
     def test_cusp_brackets_contain_one_half(self):
         f = R2("x^2 + y^3")
