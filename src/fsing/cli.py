@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Any, Callable, Sequence
 
-from . import groebner
 from .errors import FSingError, ParseError, ResourceError
 from .frobmod import FrobModule
 from .frobroot import ideal_root
-from .groebner import Ideal
+from .groebner import MAX_SPAIRS, Ideal
 from .oracle import (
     bracket_membership_oracle,
     monomial_root_oracle,
@@ -179,6 +179,12 @@ def _cmd_testideal(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
 
 def _cmd_fpt(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
     f = ring(text)
+    # nu and the bracket denominators reach q^e, which must convert to text
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.max_e * math.log10(ring.q) >= limit:
+        raise ResourceError(
+            f"level {args.max_e} gives numbers of more than {limit} digits"
+        )
     bracket = fpt_bracket(f, args.max_e)
     inp = {"poly": str(f), "max_e": args.max_e}
     result = {
@@ -446,9 +452,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"fsing: error: {err}", file=sys.stderr)
         return _classify(err)
 
-    saved_budget = groebner.DEFAULT_MAX_SPAIRS
-    if args.budget_spairs is not None:
-        groebner.DEFAULT_MAX_SPAIRS = args.budget_spairs
+    budget = MAX_SPAIRS.get() if args.budget_spairs is None else args.budget_spairs
+    token = MAX_SPAIRS.set(budget)
     try:
         if args.file is not None:
             try:
@@ -470,7 +475,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"the {args.command} command needs an input polynomial")
         return _run_one(ring, args, args.input, as_json=args.json)
     finally:
-        groebner.DEFAULT_MAX_SPAIRS = saved_budget
+        MAX_SPAIRS.reset(token)
 
 
 if __name__ == "__main__":

@@ -6,20 +6,23 @@ normal selection strategy (smallest pair lcm first).  Every ideal exposes
 its reduced basis, which is unique for a fixed monomial order, so ideal
 equality, membership, intersection and quotients are all exact decisions.
 
-The S-pair budget ``DEFAULT_MAX_SPAIRS`` bounds every basis an Ideal
-computes; exceeding it raises :class:`ResourceError` with the partial basis.
+The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis
+computation; exceeding it raises :class:`ResourceError` with the partial
+basis.  Library callers set it with ``MAX_SPAIRS.set`` and undo that with
+``MAX_SPAIRS.reset``; each thread keeps its own value.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InvariantError, ResourceError, RingMismatchError
 from .polyring import Exponents, Poly, Ring
 
-# Cap on S-pairs per basis computation; only ``buchberger(max_spairs=)``
-# overrides it per call, and the CLI's ``--budget-spairs`` rebinds it.
-DEFAULT_MAX_SPAIRS = 200_000
+# Cap on S-pairs per basis computation, read once per buchberger call; the
+# CLI's ``--budget-spairs`` sets it for one command.
+MAX_SPAIRS: ContextVar[int] = ContextVar("MAX_SPAIRS", default=200_000)
 
 
 def _monomial_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -120,15 +123,13 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     return Poly(f.ring, left)
 
 
-def buchberger(
-    gens: Iterable[Poly], ring: Ring, max_spairs: int | None = None
-) -> tuple[Poly, ...]:
+def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Returns monic, pairwise auto-reduced polynomials sorted by leading
     monomial, largest first; the empty tuple presents the zero ideal.
     """
-    budget = DEFAULT_MAX_SPAIRS if max_spairs is None else max_spairs
+    budget = MAX_SPAIRS.get()
     key = ring.monomial_key()
 
     basis: list[Poly] = []

@@ -29,8 +29,14 @@ ORDER_NAMES = ("grevlex", "lex", "elim")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+# Miller-Rabin with the twelve prime bases 2..37 is exact below this bound,
+# which is itself a strong pseudoprime to all of them (399165290221 *
+# 798330580441); Ring refuses characteristics at or above it.
+PRIME_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(m: int) -> bool:
-    # Deterministic Miller-Rabin; this witness set is exact for m < 3.3e24.
+    # Deterministic Miller-Rabin, exact for m < PRIME_BOUND.
     if m < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -91,6 +97,11 @@ class Ring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "var_names", tuple(self.var_names))
+        if self.p >= PRIME_BOUND:
+            raise DomainError(
+                f"characteristic {self.p} is too large to certify as prime; "
+                f"it must be below {PRIME_BOUND}"
+            )
         if not _is_prime(self.p):
             raise DomainError(f"characteristic must be prime, got {self.p}")
         if self.s < 1:
@@ -526,13 +537,21 @@ class _PolyParser:
             if kind != "num":
                 self.fail("exponent must be a nonnegative integer literal")
             self.advance()
-            return base ** int(value)
+            return base ** self.literal(value)
         return base
+
+    def literal(self, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise ResourceError(
+                f"integer literal of {len(digits)} digits is too long"
+            ) from None
 
     def atom(self) -> Poly:
         kind, value, _ = self.advance()
         if kind == "num":
-            return self.ring.constant(int(value))
+            return self.ring.constant(self.literal(value))
         if kind == "name":
             try:
                 idx = self.ring.var_names.index(value)
@@ -557,4 +576,7 @@ def parse_poly(ring: Ring, text: str) -> Poly:
     """Parse polynomial text in ``ring``; raises :class:`ParseError`."""
     if not text.strip():
         raise ParseError("empty polynomial text")
-    return _PolyParser(ring, text).parse()
+    try:
+        return _PolyParser(ring, text).parse()
+    except RecursionError:
+        raise ParseError("polynomial text is nested too deeply") from None

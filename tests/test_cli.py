@@ -11,7 +11,8 @@ import sys
 import pytest
 
 from fsing.cli import main
-from fsing import Certificate, FrobModule, Ideal, Ring
+from fsing import Certificate, FrobModule, Ideal, Ring, buchberger
+from fsing.groebner import MAX_SPAIRS
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +250,35 @@ class TestExitCodes:
             assert code == 2, argv
             assert "error" in err
 
+    def test_budget_flag_lasts_one_command(self, capsys):
+        before = MAX_SPAIRS.get()
+        code, _, _ = run_cli(
+            capsys, "root", "--p", "2", "--vars", "x,y",
+            "--budget-spairs", "0", "x^2*y^2 + y^4; x^4",
+        )
+        assert code == 2
+        assert MAX_SPAIRS.get() == before == 200_000
+        ring = Ring(p=2, var_names=("x", "y"))
+        x, y = ring.gens
+        assert len(buchberger([x * y + y**2, x**2], ring)) == 3
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="the interpreter has no limit on integer string conversion",
+    )
+    def test_fpt_refuses_a_level_whose_numbers_cannot_be_printed(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, record, _ = run_json(
+                capsys, "fpt", "--p", "2", "--vars", "x", "--max-e", "2200",
+                "--json", "x",
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert record["error"]["type"] == "ResourceError"
+
     def test_iteration_budget(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -325,6 +355,30 @@ class TestBatchMode:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert "result" in records[0]
         assert records[1]["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize(
+        "bad,error,expected_code",
+        [
+            ("(" * 250 + "x" + ")" * 250, "ParseError", 3),
+            ("x^" + "9" * 5000, "ResourceError", 2),
+        ],
+        ids=["deep-nesting", "long-literal"],
+    )
+    def test_batch_goes_past_inputs_the_interpreter_cannot_take(
+        self, capsys, tmp_path, bad, error, expected_code
+    ):
+        batch = tmp_path / "inputs.txt"
+        batch.write_text(bad + "\nx^3*y^2\n")
+        code, out, err = run_cli(
+            capsys,
+            "root", "--p", "2", "--vars", "x,y", "--file", str(batch),
+        )
+        assert code == expected_code
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(records) == 2
+        assert records[0]["error"]["type"] == error
+        assert records[1]["result"]["generators"] == ["x*y"]
+        assert "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(

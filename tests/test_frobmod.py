@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import fsing.frobmod as frobmod
 from fsing import (
     DomainError,
     FrobModule,
@@ -352,6 +353,28 @@ class TestMinimalize:
         assert report.result.ambient == Ideal(R1, (x**5,))
         assert report.fr_iterations == 3
         assert report.kernel_chain_length == 1
+
+
+    def test_fixed_point_is_checked_once_by_the_walk_and_once_by_the_certificate(
+        self, monkeypatch
+    ):
+        calls = []
+        step = frobmod.shrink_step
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(frobmod, "shrink_step", counted)
+        (x,) = R1.gens
+        for module in (
+            principal(R1, "x"),
+            principal(R1, "x^2"),
+            FrobModule(Ideal(R1, (x**6,)), Ideal(R1, (R1.one,)), x**6),
+        ):
+            calls.clear()
+            report = module.minimalize()
+            assert len(calls) == report.fr_iterations + 2
 
 
 class TestIsMinimal:

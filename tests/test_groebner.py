@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import threading
 
 import pytest
 
@@ -24,6 +26,15 @@ from conftest import rand_ideal, rand_poly
 R2 = Ring(p=2, var_names=("x", "y"))
 R3 = Ring(p=3, var_names=("x", "y"))
 R5 = Ring(p=5, var_names=("x", "y"))
+
+
+@contextlib.contextmanager
+def spair_budget(n):
+    token = groebner.MAX_SPAIRS.set(n)
+    try:
+        yield
+    finally:
+        groebner.MAX_SPAIRS.reset(token)
 
 
 class TestDivision:
@@ -77,8 +88,42 @@ class TestBuchberger:
 
     def test_budget_exhaustion(self):
         x, y = R2.gens
-        with pytest.raises(ResourceError):
-            buchberger([x * y + y**2, x**2], R2, max_spairs=0)
+        with spair_budget(0), pytest.raises(ResourceError):
+            buchberger([x * y + y**2, x**2], R2)
+
+    def test_budget_holds_only_inside_its_context(self):
+        x, y = R2.gens
+        gens = [x * y + y**2, x**2]
+        with spair_budget(0), pytest.raises(ResourceError) as info:
+            buchberger(gens, R2)
+        assert set(info.value.partial) == set(gens)
+        assert set(buchberger(gens, R2)) == set(gens) | {y**3}
+
+    def test_a_thread_keeps_its_own_budget(self):
+        x, y = R2.gens
+        gens = [x * y + y**2, x**2]
+        capped, release = threading.Event(), threading.Event()
+        seen = []
+
+        def worker():
+            groebner.MAX_SPAIRS.set(0)
+            try:
+                buchberger(gens, R2)
+            except ResourceError:
+                seen.append("exhausted")
+            capped.set()
+            release.wait(10)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert capped.wait(10)
+            assert groebner.MAX_SPAIRS.get() == 200_000
+            assert len(buchberger(gens, R2)) == 3
+        finally:
+            release.set()
+            thread.join()
+        assert seen == ["exhausted"]
 
     def test_result_is_reduced(self):
         rng = random.Random(31)

@@ -217,6 +217,77 @@ def test_only_the_cli_imports_the_oracles():
     assert importers == ["cli.py"]
 
 
+def _root_name(node: ast.AST) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _rebinds_module_state(tree: ast.AST, module_names: set[str]) -> list[int]:
+    # lines that use ``global`` or store into, delete or setattr an
+    # attribute of an imported fsing module
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {
+                a.asname or "fsing"
+                for a in node.names
+                if a.name == "fsing" or a.name.startswith("fsing.")
+            }
+        elif isinstance(node, ast.ImportFrom) and (
+            node.module == "fsing" or (node.level and not node.module)
+        ):
+            aliases |= {a.asname or a.name for a in node.names if a.name in module_names}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if _root_name(node.value) in aliases:
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("setattr", "delattr")
+            and node.args
+            and _root_name(node.args[0]) in aliases
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_rebinds_package_state():
+    # the package keeps no module-level mutable state: the S-pair cap, for
+    # one, lives in a context variable rather than a rebound global
+    package = pathlib.Path(fsing.__file__).parent
+    module_names = {path.stem for path in package.glob("*.py")}
+    offenders = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _rebinds_module_state(ast.parse(path.read_text()), module_names))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        ("from . import groebner\ngroebner.CAP = 1", True),
+        ("from fsing import groebner as g\ng.CAP += 1", True),
+        ("import fsing.groebner\nfsing.groebner.CAP = 1", True),
+        ("from . import groebner\nsetattr(groebner, 'CAP', 1)", True),
+        ("from . import groebner\ndel groebner.CAP", True),
+        ("def f():\n    global CAP\n    CAP = 1", True),
+        ("from .groebner import Ideal\nIdeal.cap = 1", False),
+        ("from . import groebner\ncap = groebner.CAP", False),
+        ("def f(self):\n    self.cap = 1", False),
+    ],
+)
+def test_module_state_detector(source, expected):
+    lines = _rebinds_module_state(ast.parse(source), {"groebner"})
+    assert bool(lines) is expected
+
+
 @pytest.mark.parametrize(
     "source,expected",
     [

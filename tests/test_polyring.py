@@ -27,6 +27,25 @@ class TestRingConstruction:
         with pytest.raises(DomainError):
             Ring(p=p, var_names=("x",))
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # strong pseudoprimes to the twelve Miller-Rabin bases 2..37
+            318665857834031151167461,  # 399165290221 * 798330580441
+            3317044064679887385961981,  # 1287836182261 * 2575672364521
+        ],
+    )
+    def test_refuses_characteristics_the_primality_test_cannot_certify(self, p):
+        with pytest.raises(DomainError):
+            Ring(p=p, var_names=("x",))
+
+    @pytest.mark.parametrize(
+        "p", [2**61 - 1, 318665857834031151167441]  # the last prime below the bound
+    )
+    def test_accepts_large_primes(self, p):
+        x = Ring(p=p, var_names=("x",)).gens[0]
+        assert str(x**2 * (p - 1) + x**2) == "0"
+
     def test_rejects_bad_variables(self):
         with pytest.raises(DomainError):
             Ring(p=2, var_names=())
@@ -227,6 +246,15 @@ class TestParsing:
     def test_huge_exponent_is_resource_error(self):
         with pytest.raises(ResourceError):
             R2("x^10000000")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        assert R2("(" * 200 + "x" + ")" * 200) == R2.gens[0]
+        with pytest.raises(ParseError):
+            R2("(" * 250 + "x" + ")" * 250)
+
+    def test_overlong_integer_literal_is_resource_error(self):
+        with pytest.raises(ResourceError):
+            R2("x^" + "9" * 5000)
 
     @pytest.mark.parametrize("ring", [R2, R3, R5])
     def test_round_trip(self, ring):
