@@ -2,7 +2,12 @@
 
 The engine is Buchberger's algorithm with the standard pair filters (the
 coprime-leading-monomial criterion and the lcm chain criterion) and the
-normal selection strategy (smallest pair lcm first).  Every ideal exposes
+normal selection strategy: pending pairs wait in a heap keyed by their
+lcm's order key, and the smallest is taken first.  Division keeps its
+pending terms in a heap of order keys, and each divisor's leading data
+and keyed tail are cached on the polynomial (:meth:`Poly.reducer`).  No
+reduction or S-polynomial builds a term above ``MAX_TOTAL_DEGREE``; one
+that would raises :class:`ResourceError`.  Every ideal exposes
 its reduced basis, which is unique for a fixed monomial order, so ideal
 equality, membership, intersection and quotients are all exact decisions.
 
@@ -15,33 +20,31 @@ basis.  Library callers set it with ``MAX_SPAIRS.set`` and undo that with
 from __future__ import annotations
 
 from contextvars import ContextVar
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InvariantError, ResourceError, RingMismatchError
-from .polyring import Exponents, Poly, Ring
+from .polyring import MAX_TOTAL_DEGREE, Exponents, Poly, Ring
 
 # Cap on S-pairs per basis computation, read once per buchberger call; the
 # CLI's ``--budget-spairs`` sets it for one command.
 MAX_SPAIRS: ContextVar[int] = ContextVar("MAX_SPAIRS", default=200_000)
 
 
-def _monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
-def _shift_mul(f: Poly, shift: Exponents, scale: int) -> dict[Exponents, int]:
-    p = f.ring.p
-    return {
-        _monomial_mul(m, shift): (c * scale) % p for m, c in f._terms.items()
-    }
+def _degree_guard(degree: int) -> None:
+    if degree > MAX_TOTAL_DEGREE:
+        raise ResourceError(
+            f"a term of degree {degree} would exceed the guard {MAX_TOTAL_DEGREE}"
+        )
 
 
 def poly_division(
@@ -51,49 +54,67 @@ def poly_division(
 
     No term of the remainder is divisible by any divisor's leading
     monomial, and every ``q_i * d_i`` has leading monomial <= that of f.
-    Divisors must be nonzero and share f's ring.
+    Divisors must be nonzero and share f's ring.  Raises
+    :class:`ResourceError` before a reduction would build a term above
+    ``MAX_TOTAL_DEGREE``.
+
+    The pending terms sit in a max-heap of order keys with lazy deletion
+    (Monagan and Pearce, 2011): a cancelled term stays in the heap and is
+    skipped when popped.  Keys are additive, so a reduction term's key is
+    the shift's key plus the divisor term's cached key.
     """
     ring = f.ring
     p = ring.p
-    key = ring.monomial_key()
-    divs = []
+    reducers = []
     for d in divisors:
         if d.ring != ring:
             raise RingMismatchError("divisors must share the dividend's ring")
         if not d:
             raise DomainError("cannot divide by the zero polynomial")
-        lm = d.leading_monomial()
-        divs.append((d, lm, pow(d._terms[lm], p - 2, p)))
+        reducers.append(d.reducer())
     quots: list[dict[Exponents, int]] | None = (
-        [{} for _ in divs] if with_quotients else None
+        [{} for _ in reducers] if with_quotients else None
     )
     rem: dict[Exponents, int] = {}
-    work = dict(f._terms)
-    while work:
-        m = max(work, key=key)
-        c = work[m]
-        for i, (d, lm, lc_inv) in enumerate(divs):
-            if _monomial_divides(lm, m):
-                shift = tuple(a - b for a, b in zip(m, lm))
-                coef = c * lc_inv % p
-                if quots is not None:
-                    qd = quots[i]
-                    v = (qd.get(shift, 0) + coef) % p
-                    if v:
-                        qd[shift] = v
-                    elif shift in qd:
-                        del qd[shift]
-                for dm, dc in d._terms.items():
-                    mm = _monomial_mul(shift, dm)
-                    v = (work.get(mm, 0) - coef * dc) % p
-                    if v:
-                        work[mm] = v
-                    elif mm in work:
-                        del work[mm]
+    key = ring.monomial_key()
+    monos = {key(m): m for m in f._terms}
+    work = {k: f._terms[m] for k, m in monos.items()}
+    heap = [-k for k in work]
+    heapify(heap)
+    while heap:
+        k = -heappop(heap)
+        c = work.pop(k, 0)
+        if not c:
+            continue
+        m = monos[k]
+        for i, (lm, lk, lc_inv, excess, tail) in enumerate(reducers):
+            # every weight is positive, so lm | m implies lk <= k
+            if lk <= k and _monomial_divides(lm, m):
                 break
         else:
             rem[m] = c
-            del work[m]
+            continue
+        if excess > 0:
+            _degree_guard(sum(m) + excess)
+        shift = tuple(map(sub, m, lm))
+        coef = c * lc_inv % p
+        if quots is not None:
+            # m strictly decreases, so each shift occurs once per divisor
+            quots[i][shift] = coef
+        sk = k - lk
+        for dm, dc, dk in tail:
+            nk = sk + dk
+            v = work.get(nk)
+            if v is None:
+                monos[nk] = tuple(map(add, shift, dm))
+                work[nk] = -coef * dc % p
+                heappush(heap, -nk)
+            else:
+                v = (v - coef * dc) % p
+                if v:
+                    work[nk] = v
+                else:
+                    del work[nk]
     remainder = Poly(ring, rem)
     if quots is None:
         return [], remainder
@@ -108,19 +129,27 @@ def normal_form(f: Poly, divisors: Sequence[Poly]) -> Poly:
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:
-    # both inputs monic, so the cancelling coefficients are 1
-    lf, lg = f.leading_monomial(), g.leading_monomial()
+    # both inputs monic, so the lcm terms cancel: only the shifted tails
+    # are built, and only they must stay inside the degree guard
+    lf, _, _, ef, tail_f = f.reducer()
+    lg, _, _, eg, tail_g = g.reducer()
     lcm = _monomial_lcm(lf, lg)
-    left = _shift_mul(f, tuple(a - b for a, b in zip(lcm, lf)), 1)
-    right = _shift_mul(g, tuple(a - b for a, b in zip(lcm, lg)), 1)
+    if tail_f:
+        _degree_guard(sum(lcm) + ef)
+    if tail_g:
+        _degree_guard(sum(lcm) + eg)
+    shift = tuple(map(sub, lcm, lf))
+    out = {tuple(map(add, shift, m)): c for m, c, _ in tail_f}
+    shift = tuple(map(sub, lcm, lg))
     p = f.ring.p
-    for m, c in right.items():
-        v = (left.get(m, 0) - c) % p
+    for m, c, _ in tail_g:
+        m = tuple(map(add, shift, m))
+        v = (out.get(m, 0) - c) % p
         if v:
-            left[m] = v
-        elif m in left:
-            del left[m]
-    return Poly(f.ring, left)
+            out[m] = v
+        elif m in out:
+            del out[m]
+    return Poly(f.ring, out)
 
 
 def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
@@ -158,10 +187,14 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     polys: list[Poly] = []       # all monic polynomials ever admitted
     lms: list[Exponents] = []    # their leading monomials
     current: list[int] = []      # indices forming the working basis
-    pairs: set[tuple[int, int]] = set()
+    pairs: set[tuple[int, int]] = set()        # the pending pairs
+    queue: list[tuple[int, int, int]] = []     # (lcm key, i, j), lazily pruned
 
     def pair_lcm(i: int, j: int) -> Exponents:
         return _monomial_lcm(lms[i], lms[j])
+
+    def coprime(a: Exponents, b: Exponents) -> bool:
+        return not any(map(min, a, b))
 
     def update(h_idx: int) -> None:
         # Pair filtering on admitting a new element: the chain criterion
@@ -176,17 +209,14 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
         while candidates:
             g = candidates.pop()
             lcm_hg = pair_lcm(h_idx, g)
-            coprime = lcm_hg == _monomial_mul(mh, lms[g])
-            if coprime or not any(
+            if coprime(mh, lms[g]) or not any(
                 _monomial_divides(pair_lcm(h_idx, other), lcm_hg)
                 for other in candidates + kept
             ):
                 kept.append(g)
-        new_pairs = {
-            (g, h_idx)
-            for g in kept
-            if pair_lcm(h_idx, g) != _monomial_mul(mh, lms[g])
-        }
+        new_pairs = {(g, h_idx) for g in kept if not coprime(mh, lms[g])}
+        for g, h in new_pairs:
+            heappush(queue, (key(pair_lcm(g, h)), g, h))
 
         surviving: set[tuple[int, int]] = set()
         for i, j in pairs:
@@ -209,13 +239,15 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
 
     processed = 0
     while pairs:
+        _, i, j = heappop(queue)
+        if (i, j) not in pairs:
+            continue  # pruned after it was queued
         processed += 1
         if processed > budget:
             raise ResourceError(
                 f"S-pair budget of {budget} exceeded while computing a basis",
                 partial=tuple(polys[i] for i in current),
             )
-        i, j = min(pairs, key=lambda ij: key(pair_lcm(*ij)))
         pairs.discard((i, j))
         s = _spoly(polys[i], polys[j])
         if not s:

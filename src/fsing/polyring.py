@@ -4,8 +4,10 @@ Elements of F_p[x_1, ..., x_n] are stored as dicts mapping exponent tuples
 to coefficients reduced into [1, p-1]; the zero polynomial is the empty
 dict, so every polynomial has exactly one representation.  A :class:`Ring`
 fixes the characteristic p, the Frobenius step s (the Frobenius map raises
-to the power q = p**s), the variable names and the monomial order.  All
-operations are pure and exact; nothing here ever rounds.
+to the power q = p**s), the variable names and the monomial order.  The
+order is one integer key per monomial, a fixed weighted sum of its
+exponents (:meth:`Ring.monomial_key`), so the key of a product is the sum
+of the keys.  All operations are pure and exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DomainError, ParseError, ResourceError, RingMismatchError
 
 Exponents = tuple[int, ...]
-MonomialKey = Callable[[Exponents], object]
+MonomialKey = Callable[[Exponents], int]
+# (leading monomial, its key, inverse leading coefficient, tail degree
+# excess, tail terms as (monomial, coefficient, key)); see Poly.reducer
+Reducer = tuple[Exponents, int, int, int, tuple[tuple[Exponents, int, int], ...]]
 
 # Guard against runaway exponent growth: any operation whose result would
 # exceed this total degree raises ResourceError instead of computing it.
@@ -60,25 +66,24 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _grevlex_key(m: Exponents) -> object:
-    return (sum(m), tuple(-e for e in reversed(m)))
+# Width of one exponent field of an order key.  The degree guard keeps
+# every exponent and total degree at most MAX_TOTAL_DEGREE, and
+# 2**21 > 2 * MAX_TOTAL_DEGREE, so no field carries into the next, even in
+# a difference of two keys, and keys rank monomials exactly.
+_FIELD = 1 << 21
 
 
-def _lex_key(m: Exponents) -> object:
-    return m
-
-
-def _elim_key(m: Exponents) -> object:
-    # Block order eliminating the first variable: compare its exponent
-    # first, break ties by graded reverse lexicographic order on the rest.
-    return (m[0], sum(m[1:]), tuple(-e for e in reversed(m[1:])))
-
-
-_KEYS: dict[str, MonomialKey] = {
-    "grevlex": _grevlex_key,
-    "lex": _lex_key,
-    "elim": _elim_key,
-}
+def _order_weights(order: str, n: int) -> tuple[int, ...]:
+    # key(m) = sum(w_i * m_i) ranks monomials exactly as the named order.
+    B = _FIELD
+    if order == "grevlex":
+        # total degree first, then the smaller exponent of the last
+        # variable where two monomials differ
+        return tuple(B**n - B**i for i in range(n))
+    if order == "lex":
+        return tuple(B ** (n - 1 - i) for i in range(n))
+    # elim: the first variable's exponent first, then grevlex on the rest
+    return (B**n,) + tuple(B ** (n - 1) - B ** (i - 1) for i in range(1, n))
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,7 @@ class Ring:
             raise DomainError(f"characteristic must be prime, got {self.p}")
         if self.s < 1:
             raise DomainError(f"Frobenius step must be >= 1, got {self.s}")
-        if self.order not in _KEYS:
+        if self.order not in ORDER_NAMES:
             raise DomainError(
                 f"unknown monomial order {self.order!r}; choose from {ORDER_NAMES}"
             )
@@ -140,8 +145,15 @@ class Ring:
     def q(self) -> int:
         return self.p**self.s
 
+    @cached_property
+    def _order_key(self) -> MonomialKey:
+        w = _order_weights(self.order, self.n)
+        return lambda m: sum(map(mul, w, m))
+
     def monomial_key(self) -> MonomialKey:
-        return _KEYS[self.order]
+        """The order key: an int, additive in the exponents, that ranks
+        monomials exactly as the ring's order does."""
+        return self._order_key
 
     @property
     def zero(self) -> "Poly":
@@ -219,12 +231,14 @@ class Poly:
     construction; use :meth:`Ring.poly` or ring parsing to build values.
     """
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms", "_hash", "_lm", "_reducer")
 
     def __init__(self, ring: Ring, terms: dict[Exponents, int]):
         self.ring = ring
         self._terms = terms
         self._hash: int | None = None
+        self._lm: Exponents | None = None
+        self._reducer: Reducer | None = None
 
     # -- basic queries ------------------------------------------------
 
@@ -262,11 +276,32 @@ class Poly:
             yield m, self._terms[m]
 
     def leading_monomial(self) -> Exponents:
-        if len(self._terms) == 1:
-            return next(iter(self._terms))
-        if not self._terms:
-            raise DomainError("the zero polynomial has no leading monomial")
-        return max(self._terms, key=self.ring.monomial_key())
+        if self._lm is None:
+            if len(self._terms) == 1:
+                self._lm = next(iter(self._terms))
+            elif not self._terms:
+                raise DomainError("the zero polynomial has no leading monomial")
+            else:
+                self._lm = max(self._terms, key=self.ring.monomial_key())
+        return self._lm
+
+    def reducer(self) -> Reducer:
+        """This polynomial as a divisor, built once and cached.
+
+        Holds the leading monomial, its order key, the inverse leading
+        coefficient, the largest total degree of the other terms minus the
+        leading one's (0 when there are none), and those other terms as
+        ``(monomial, coefficient, key)`` triples.
+        """
+        if self._reducer is None:
+            key = self.ring.monomial_key()
+            lm = self.leading_monomial()
+            p = self.ring.p
+            tail = tuple((m, c, key(m)) for m, c in self._terms.items() if m != lm)
+            lead_deg = sum(lm)
+            excess = max((sum(m) for m, _, _ in tail), default=lead_deg) - lead_deg
+            self._reducer = (lm, key(lm), pow(self._terms[lm], p - 2, p), excess, tail)
+        return self._reducer
 
     def leading_coeff(self) -> int:
         return self._terms[self.leading_monomial()]

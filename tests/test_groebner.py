@@ -9,6 +9,7 @@ import threading
 import pytest
 
 import fsing.groebner as groebner
+import fsing.polyring as polyring
 from fsing import (
     DomainError,
     Ideal,
@@ -57,10 +58,77 @@ class TestDivision:
                         all(a <= b for a, b in zip(lm, m)) for lm in lms
                     )
 
+    @pytest.mark.parametrize("order", ["lex", "elim"])
+    def test_certified_decomposition_in_other_orders(self, order):
+        rng = random.Random(29)
+        ring = Ring(p=5, var_names=("t", "x", "y"), order=order)
+        key = ring.monomial_key()
+        for _ in range(40):
+            f = rand_poly(rng, ring, 5, 4)
+            divisors = [rand_poly(rng, ring, 3, 3, nonzero=True) for _ in range(3)]
+            quots, rem = poly_division(f, divisors)
+            assert sum((q * d for q, d in zip(quots, divisors)), rem) == f
+            top = key(f.leading_monomial()) if f else 0
+            for q, d in zip(quots, divisors):
+                if q:
+                    assert key((q * d).leading_monomial()) <= top
+
     def test_divide_by_zero_rejected(self):
         x, _ = R2.gens
         with pytest.raises(DomainError):
             poly_division(x, [R2.zero])
+
+    def test_divisor_record_is_cached(self):
+        x, y = R5.gens
+        d = x * y + 2 * y + 1
+        record = d.reducer()
+        normal_form(x**2 * y, [d])
+        assert d.reducer() is record
+        lm, lead_key, lc_inv, excess, tail = record
+        assert lm == (1, 1) and lead_key == R5.monomial_key()(lm)
+        assert lc_inv == 1 and excess == -1
+        assert sorted(m for m, _, _ in tail) == [(0, 0), (0, 1)]
+
+    @pytest.mark.parametrize(
+        "order, names", [("lex", ("x", "y")), ("elim", ("t", "x"))]
+    )
+    def test_reduction_respects_the_degree_guard(self, order, names):
+        # x - y^N leads with x in both orders, so reducing x^2 would build
+        # x * y^N, one degree above the guard
+        ring = Ring(p=5, var_names=names, order=order)
+        x, y = ring.gens
+        big = y ** polyring.MAX_TOTAL_DEGREE
+        with pytest.raises(ResourceError):
+            normal_form(x**2, [x - big])
+        with pytest.raises(ResourceError):
+            poly_division(x**2, [x - big])
+        # at the guard itself the reduction goes through
+        assert normal_form(x, [x - big]) == big
+
+    @pytest.mark.parametrize("order", ["lex", "elim"])
+    def test_spoly_respects_the_degree_guard(self, order):
+        ring = Ring(p=5, var_names=("x", "y"), order=order)
+        x, y = ring.gens
+        n = polyring.MAX_TOTAL_DEGREE
+        f = x ** (n - 1) * y + y**n          # leads with x^(n-1) y
+        g = x * y ** (n - 1) + y**2          # leads with x y^(n-1)
+        # the S-polynomial would hold y^(n-2) * y^n
+        with pytest.raises(ResourceError):
+            groebner._spoly(f, g)
+        with pytest.raises(ResourceError):
+            buchberger([f, g], ring)
+
+    def test_spoly_guard_looks_at_built_terms_only(self):
+        # the lcm x^(n-1) y^(n-1) is above the guard, but it cancels and
+        # the shifted tails stay far below it
+        n = polyring.MAX_TOTAL_DEGREE
+        x, y = R5.gens
+        s = groebner._spoly(x ** (n - 1) * y + 1, x * y ** (n - 1) + 1)
+        assert s == y ** (n - 2) - x ** (n - 2)
+        assert buchberger([x ** (n - 1) * y, x * y ** (n - 1)], R5) == (
+            x ** (n - 1) * y,
+            x * y ** (n - 1),
+        )
 
 
 class TestBuchberger:
