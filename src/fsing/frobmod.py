@@ -35,8 +35,8 @@ _KERNEL_BUDGET = 32  # levels the iterated kernel chain may climb
 
 def iterate_exponent(q: int, e: int) -> int:
     """Multiplier exponent of the e-fold structural map: 1 + q + ... + q**(e-1)."""
-    if e < 0:
-        raise DomainError("iterate levels are nonnegative")
+    if not isinstance(e, int) or e < 0:
+        raise DomainError(f"iterate levels are nonnegative integers, got {e!r}")
     return (q**e - 1) // (q - 1)
 
 
@@ -188,8 +188,10 @@ class FrobModule:
         the relations (never nilpotent) or that e_max steps did not reach
         them (order > e_max, if any).
         """
-        if e_max < 1:
-            raise DomainError("the nilpotency budget must be >= 1")
+        if not isinstance(e_max, int) or e_max < 1:
+            raise DomainError(
+                f"the nilpotency budget must be an integer >= 1, got {e_max!r}"
+            )
         cur = self.ambient
         for e in range(1, e_max + 1):
             nxt = shrink_step(self.relations, self.multiplier, cur)

@@ -44,13 +44,13 @@ def poly_root(g: Poly, e: int) -> Ideal:
     Only exponent patterns present in g are visited, so the cost is linear
     in the number of terms, never in q**e.
     """
-    if e < 1:
-        raise DomainError(f"root level must be >= 1, got {e}")
+    if not isinstance(e, int) or e < 1:
+        raise DomainError(f"root level must be an integer >= 1, got {e!r}")
     return Ideal(g.ring, _root_gens((g,), g.ring.q**e))
 
 
 def ideal_root(ideal: Ideal, e: int) -> Ideal:
     """Level-e Frobenius root of an ideal (generator-wise, then combined)."""
-    if e < 1:
-        raise DomainError(f"root level must be >= 1, got {e}")
+    if not isinstance(e, int) or e < 1:
+        raise DomainError(f"root level must be an integer >= 1, got {e!r}")
     return Ideal(ideal.ring, _root_gens(ideal.gens, ideal.ring.q**e))

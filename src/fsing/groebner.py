@@ -1,15 +1,20 @@
 """Decidable ideal arithmetic over F_p[x] via reduced Groebner bases.
 
-The engine is Buchberger's algorithm with the standard pair filters (the
-coprime-leading-monomial criterion and the lcm chain criterion) and the
-normal selection strategy: pending pairs wait in a heap keyed by their
-lcm's order key, and the smallest is taken first.  Division keeps its
-pending terms in a heap of order keys, and each divisor's leading data
-and keyed tail are cached on the polynomial (:meth:`Poly.reducer`).  No
-reduction or S-polynomial builds a term above ``MAX_TOTAL_DEGREE``; one
-that would raises :class:`ResourceError`.  Every ideal exposes
-its reduced basis, which is unique for a fixed monomial order, so ideal
-equality, membership, intersection and quotients are all exact decisions.
+The engine is Buchberger's algorithm with one admission step (Gebauer and
+Moller, 1988): every input generator and every S-polynomial is reduced by
+the working basis, and a nonzero remainder joins it, monic, under the
+standard pair filters (the coprime-leading-monomial criterion, the lcm
+chain criterion, and pruning of pending pairs whose lcm the newcomer's
+leading monomial strictly refines).  A unit remainder ends the computation
+at once.  Pending pairs keep their lcm and wait in a heap keyed by its
+order key; the smallest is taken first (the normal selection strategy).
+Division keeps its pending terms in a heap of order keys, and each
+divisor's leading data and keyed tail are cached on the polynomial
+(:meth:`Poly.reducer`).  No reduction or S-polynomial builds a term above
+``MAX_TOTAL_DEGREE``; one that would raises :class:`ResourceError`.  Every
+ideal exposes its reduced basis, which is unique for a fixed monomial
+order, so ideal equality, membership, intersection and quotients are all
+exact decisions.
 
 The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis
 computation; exceeding it raises :class:`ResourceError` with the partial
@@ -161,86 +166,66 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     budget = MAX_SPAIRS.get()
     key = ring.monomial_key()
 
-    basis: list[Poly] = []
-    for g in gens:
-        if g.ring != ring:
-            raise RingMismatchError("generators must live in the stated ring")
-        if g:
-            basis.append(g.monic())
-    if not basis:
-        return ()
-
-    # inter-reduce the input until stable; cheap and trims the pair queue
-    while True:
-        reduced: list[Poly] = []
-        for g in basis:
-            r = normal_form(g, reduced)
-            if r:
-                reduced.append(r.monic())
-        if reduced == basis:
-            break
-        basis = reduced
-
-    if any(g.is_constant() for g in basis):
-        return (ring.one,)
-
     polys: list[Poly] = []       # all monic polynomials ever admitted
     lms: list[Exponents] = []    # their leading monomials
     current: list[int] = []      # indices forming the working basis
-    pairs: set[tuple[int, int]] = set()        # the pending pairs
-    queue: list[tuple[int, int, int]] = []     # (lcm key, i, j), lazily pruned
+    pairs: dict[tuple[int, int], Exponents] = {}  # pending pair -> its lcm
+    queue: list[tuple[int, int, int]] = []        # (lcm key, i, j), lazily pruned
 
-    def pair_lcm(i: int, j: int) -> Exponents:
-        return _monomial_lcm(lms[i], lms[j])
-
-    def coprime(a: Exponents, b: Exponents) -> bool:
-        return not any(map(min, a, b))
-
-    def update(h_idx: int) -> None:
-        # Pair filtering on admitting a new element: the chain criterion
-        # drops a candidate pair whose lcm factors through another pending
-        # one, the product criterion drops coprime pairs, old pairs whose
-        # lcm the newcomer strictly refines are pruned, and basis elements
-        # whose leading monomial the newcomer divides retire.
-        nonlocal pairs, current
-        mh = lms[h_idx]
+    def admit(f: Poly) -> bool:
+        # Reduce f by the working basis only, so leading monomials stay
+        # pairwise indivisible; True when the remainder is a unit.  A
+        # nonzero remainder joins the basis, and the pair filters run: the
+        # chain criterion drops a new pair whose lcm another new pair's
+        # lcm divides (coprime partners still take part), the product
+        # criterion then drops coprime pairs, old pairs whose lcm the
+        # newcomer strictly refines are pruned, and basis elements whose
+        # leading monomial the newcomer divides retire.
+        if f:
+            f = normal_form(f, [polys[g] for g in current])
+        if not f:
+            return False
+        if f.is_constant():
+            return True
+        h = len(polys)
+        polys.append(f.monic())
+        mh = f.leading_monomial()
+        lms.append(mh)
+        lcm_h = {g: _monomial_lcm(lms[g], mh) for g in current}
         candidates = list(current)
         kept: list[int] = []
         while candidates:
             g = candidates.pop()
-            lcm_hg = pair_lcm(h_idx, g)
-            if coprime(mh, lms[g]) or not any(
-                _monomial_divides(pair_lcm(h_idx, other), lcm_hg)
+            if not any(map(min, lms[g], mh)) or not any(
+                _monomial_divides(lcm_h[other], lcm_h[g])
                 for other in candidates + kept
             ):
                 kept.append(g)
-        new_pairs = {(g, h_idx) for g in kept if not coprime(mh, lms[g])}
-        for g, h in new_pairs:
-            heappush(queue, (key(pair_lcm(g, h)), g, h))
-
-        surviving: set[tuple[int, int]] = set()
-        for i, j in pairs:
-            lcm_ij = pair_lcm(i, j)
+        for (i, j), lcm in [*pairs.items()]:
             if (
-                not _monomial_divides(mh, lcm_ij)
-                or pair_lcm(i, h_idx) == lcm_ij
-                or pair_lcm(j, h_idx) == lcm_ij
+                _monomial_divides(mh, lcm)
+                and _monomial_lcm(lms[i], mh) != lcm
+                and _monomial_lcm(lms[j], mh) != lcm
             ):
-                surviving.add((i, j))
-        pairs = surviving | new_pairs
+                del pairs[i, j]
+        for g in kept:
+            if any(map(min, lms[g], mh)):
+                pairs[g, h] = lcm_h[g]
+                heappush(queue, (key(lcm_h[g]), g, h))
+        current[:] = [g for g in current if not _monomial_divides(mh, lms[g])]
+        current.append(h)
+        return False
 
-        current = [g for g in current if not _monomial_divides(mh, lms[g])]
-        current.append(h_idx)
-
-    for g in basis:
-        polys.append(g)
-        lms.append(g.leading_monomial())
-        update(len(polys) - 1)
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatchError("generators must live in the stated ring")
+        if admit(g):
+            return (ring.one,)
 
     processed = 0
     while pairs:
         _, i, j = heappop(queue)
-        if (i, j) not in pairs:
+        if pairs.pop((i, j), None) is None:
             continue  # pruned after it was queued
         processed += 1
         if processed > budget:
@@ -248,18 +233,8 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
                 f"S-pair budget of {budget} exceeded while computing a basis",
                 partial=tuple(polys[i] for i in current),
             )
-        pairs.discard((i, j))
-        s = _spoly(polys[i], polys[j])
-        if not s:
-            continue
-        h = normal_form(s, [polys[g] for g in current])
-        if not h:
-            continue
-        if h.is_constant():
+        if admit(_spoly(polys[i], polys[j])):
             return (ring.one,)
-        polys.append(h.monic())
-        lms.append(h.leading_monomial())
-        update(len(polys) - 1)
 
     # tail-reduce each survivor against the rest; leading monomials are
     # already pairwise indivisible, so one pass yields the reduced basis
@@ -373,8 +348,10 @@ class Ideal:
         q**e-power map fixes coefficients, scales exponents, and preserves
         divisibility, the term order, monic-ness and auto-reducedness.
         """
-        if e < 0:
-            raise DomainError("bracket powers take nonnegative levels")
+        if not isinstance(e, int) or e < 0:
+            raise DomainError(
+                f"bracket powers take nonnegative integer levels, got {e!r}"
+            )
         if e == 0:
             return self
         out = Ideal(self.ring, tuple(g.frobenius_power(e) for g in self.gens))

@@ -102,6 +102,8 @@ class Ring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "var_names", tuple(self.var_names))
+        if not isinstance(self.p, int):
+            raise DomainError(f"characteristic must be an integer, got {self.p!r}")
         if self.p >= PRIME_BOUND:
             raise DomainError(
                 f"characteristic {self.p} is too large to certify as prime; "
@@ -109,8 +111,8 @@ class Ring:
             )
         if not _is_prime(self.p):
             raise DomainError(f"characteristic must be prime, got {self.p}")
-        if self.s < 1:
-            raise DomainError(f"Frobenius step must be >= 1, got {self.s}")
+        if not isinstance(self.s, int) or self.s < 1:
+            raise DomainError(f"Frobenius step must be an integer >= 1, got {self.s!r}")
         if self.order not in ORDER_NAMES:
             raise DomainError(
                 f"unknown monomial order {self.order!r}; choose from {ORDER_NAMES}"
@@ -164,11 +166,15 @@ class Ring:
         return self.constant(1)
 
     def constant(self, c: int) -> "Poly":
+        if not isinstance(c, int):
+            raise DomainError(f"coefficients must be integers, got {c!r}")
         c %= self.p
         return Poly(self, {(0,) * self.n: c} if c else {})
 
     def monomial(self, exponents: Iterable[int], coeff: int = 1) -> "Poly":
         m = self._checked(tuple(exponents))
+        if not isinstance(coeff, int):
+            raise DomainError(f"coefficients must be integers, got {coeff!r}")
         c = coeff % self.p
         return Poly(self, {m: c} if c else {})
 
@@ -181,11 +187,12 @@ class Ring:
         )
 
     def _checked(self, m: Exponents) -> Exponents:
-        if len(m) != self.n or min(m) < 0:
+        # a sum of nonnegative numbers is an int only if every term is
+        if len(m) != self.n or min(m) < 0 or not isinstance(degree := sum(m), int):
             raise DomainError(f"bad exponent tuple {m} for {self}")
-        if sum(m) > MAX_TOTAL_DEGREE:
+        if degree > MAX_TOTAL_DEGREE:
             raise ResourceError(
-                f"monomial degree {sum(m)} exceeds the guard {MAX_TOTAL_DEGREE}"
+                f"monomial degree {degree} exceeds the guard {MAX_TOTAL_DEGREE}"
             )
         return m
 
@@ -194,6 +201,8 @@ class Ring:
         clean: dict[Exponents, int] = {}
         for m, c in terms.items():
             m = self._checked(tuple(m))
+            if not isinstance(c, int):
+                raise DomainError(f"coefficients must be integers, got {c!r}")
             c %= self.p
             if c:
                 prev = clean.get(m, 0)
@@ -438,8 +447,10 @@ class Poly:
         Coefficients are fixed because c**p == c in F_p.  Equals the plain
         power f**(q**e) but costs one pass over the terms.
         """
-        if e < 0:
-            raise DomainError("Frobenius powers take nonnegative levels")
+        if not isinstance(e, int) or e < 0:
+            raise DomainError(
+                f"Frobenius powers take nonnegative integer levels, got {e!r}"
+            )
         if e == 0 or not self._terms:
             return self
         Q = self.ring.q**e

@@ -75,10 +75,10 @@ def test_ideal(f: Poly, m: int, e: int) -> Ideal:
     docstring), so f**m is never expanded.  m == 0 yields the unit ideal;
     the level e must be >= 1.
     """
-    if m < 0:
-        raise DomainError(f"test ideal exponents are nonnegative, got m={m}")
-    if e < 1:
-        raise DomainError(f"test ideal levels must be >= 1, got {e}")
+    if not isinstance(m, int) or m < 0:
+        raise DomainError(f"test ideal exponents are nonnegative integers, got m={m!r}")
+    if not isinstance(e, int) or e < 1:
+        raise DomainError(f"test ideal levels must be integers >= 1, got {e!r}")
     q = f.ring.q
     digits: list[int] = []
     rest = m
@@ -117,8 +117,8 @@ def je_chain(f: Poly, e_max: int) -> list[ChainLevel]:
     single multiply-and-root step e times from the unit ideal.  The
     ``equal`` flags record the comparison instead of assuming it.
     """
-    if e_max < 1:
-        raise DomainError(f"chain length must be >= 1, got {e_max}")
+    if not isinstance(e_max, int) or e_max < 1:
+        raise DomainError(f"chain length must be an integer >= 1, got {e_max!r}")
     ring = f.ring
     q = ring.q
     zero = Ideal(ring, ())
@@ -143,29 +143,47 @@ def nu(f: Poly, e: int) -> int:
     nu(0) = 0 and nu(k) = q*nu(k-1) + d with d in [0, q-1]
     (Mustata-Takagi-Watanabe).  d = 0 is always outside, by flatness of
     Frobenius, and d = q always inside, so the largest d outside is found
-    by bisection; membership is monotone in d.  Descent steps repeat
-    across levels and candidates and are computed once per call.
+    by bisection; membership is monotone in d.  A probe's descent starts
+    with its candidate digit and then runs over the digits already found,
+    which never change, so the part past each ideal it meets is computed
+    once per call: the cost is linear in e when the descents meet.
     """
-    if e < 1:
-        raise DomainError(f"threshold levels must be >= 1, got {e}")
+    if not isinstance(e, int) or e < 1:
+        raise DomainError(f"threshold levels must be integers >= 1, got {e!r}")
     if not f:
         raise DomainError("nu is undefined for the zero polynomial")
     if f.constant_term() != 0:
         raise DomainError("nu requires a polynomial vanishing at the origin")
     q = f.ring.q
     descent = _Descent(f)
-    digits: list[int] = []  # digits of the current value, lowest first
+    top: list[int] = []  # digits of the current value, highest first
+    # tails[n, basis of I]: I carried through the steps of top[n-1], ...,
+    # top[0], the n highest digits.  New digits join top at its low end,
+    # so these never change and a tail stays valid once found; a probe
+    # walks only until it meets an ideal an earlier probe passed at the
+    # same depth.
+    tails: dict[tuple[int, tuple[Poly, ...]], Ideal] = {}
     value = 0
     for _ in range(e):
         lo, hi = 0, q
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            root = descent([mid] + digits)
+            root = descent.step(mid, descent.unit)
+            walked = []
+            for n in range(len(top), 0, -1):
+                key = (n, root.groebner())
+                if key in tails:
+                    root = tails[key]
+                    break
+                walked.append(key)
+                root = descent.step(top[n - 1], root)
+            for key in walked:
+                tails[key] = root
             if any(g.constant_term() for g in root.gens):
                 lo = mid
             else:
                 hi = mid
-        digits.insert(0, lo)
+        top.append(lo)
         value = q * value + lo
     return value
 
@@ -219,8 +237,8 @@ def minimality_vs_fpt(f: Poly, e_max: int = 6) -> MinimalityFptReport:
     """
     if not f:
         raise DomainError("the cross-check requires a nonzero multiplier")
-    if e_max < 1:
-        raise DomainError(f"bracket levels must be >= 1, got {e_max}")
+    if not isinstance(e_max, int) or e_max < 1:
+        raise DomainError(f"bracket levels must be integers >= 1, got {e_max!r}")
     q = f.ring.q
     module = FrobModule.principal(f)
     minimal = module.is_minimal()

@@ -50,6 +50,10 @@ class TestIterateExponent:
     def test_geometric_sums(self, q, e, expected):
         assert iterate_exponent(q, e) == expected
 
+    def test_non_integer_level_rejected(self):
+        with pytest.raises(DomainError):
+            iterate_exponent(2, 1.5)
+
     def test_recursion(self):
         for q in (2, 3, 4, 5, 9):
             for e in range(0, 6):
@@ -144,6 +148,10 @@ class TestNilpotency:
         (x,) = R1.gens
         module = principal(R1, "x")
         assert module.nilpotency_order(5) is None
+
+    def test_non_integer_budget_rejected(self):
+        with pytest.raises(DomainError):
+            principal(R1, "x").nilpotency_order(2.0)
 
     def test_zero_module_is_order_one(self):
         (x,) = R1.gens

@@ -43,6 +43,13 @@ class TestPolyRoot:
         with pytest.raises(DomainError):
             ideal_root(Ideal(R2, (x,)), 0)
 
+    def test_non_integer_level_rejected(self):
+        x, _ = R2.gens
+        with pytest.raises(DomainError):
+            poly_root(x, 1.5)
+        with pytest.raises(DomainError):
+            ideal_root(Ideal(R2, (x,)), 1.5)
+
     def test_respects_frobenius_step(self):
         (x,) = R2s2.gens
         # q = 4: floor(5/4) = 1

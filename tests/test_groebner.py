@@ -146,6 +146,32 @@ class TestBuchberger:
         assert buchberger([R2.zero], R2) == ()
         assert buchberger([x, R2.one + x], R2) == (R2.one,)
 
+    def test_a_generator_reducing_to_a_unit_needs_no_pairs(self):
+        # the third generator reduces to 1 by the first two
+        x, y = R3.gens
+        gens = [x**2 + y, x * y + 1, x**2 + x * y + y + 2]
+        with spair_budget(0):
+            assert buchberger(gens, R3) == (R3.one,)
+
+    @pytest.mark.parametrize(
+        "text,cap",
+        [
+            ("x*y + z^2; y*z + x^2; x*z + y^2 + 1", 8),
+            ("x*y*z - 1; x^2 + y^2 + z^2; x + y + z", 2),
+            ("x + y", 0),
+        ],
+    )
+    def test_smallest_spair_caps_of_the_budget_systems(self, text, cap):
+        # the benchmark's ``--budget-spairs 2`` and ``3`` jobs at p = 3
+        # fail or succeed on exactly these counts
+        ring = Ring(p=3, var_names=("x", "y", "z"))
+        gens = [ring(t) for t in text.split(";")]
+        if cap:
+            with spair_budget(cap - 1), pytest.raises(ResourceError):
+                buchberger(gens, ring)
+        with spair_budget(cap):
+            assert buchberger(gens, ring)
+
     def test_textbook_pair(self):
         # classic: in F_5[x,y] grevlex, {x^2 + y, x*y + x} closes up with y^2 + y
         x, y = R5.gens
@@ -368,6 +394,10 @@ class TestBracketPower:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             Ideal(R2, R2.gens).bracket_power(-1)
+
+    def test_non_integer_level_rejected(self):
+        with pytest.raises(DomainError):
+            Ideal(R2, R2.gens).bracket_power(1.0)
 
     def test_cached_basis_transfer_matches_recomputation(self):
         rng = random.Random(59)

@@ -85,6 +85,31 @@ def test_reduced_bases_match_sympy(order):
         assert lead_keys == sorted(lead_keys, reverse=True)
 
 
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_redundant_presentations_give_the_same_basis(order):
+    # every generator goes through the same admission step, so reordered,
+    # duplicated or redundant generators must not change the answer
+    for rng, p, n in _systems(8106 if order == "grevlex" else 8107, 24):
+        ring = Ring(p=p, var_names=NAMES[:n], order=order)
+        syms = sympy.symbols(NAMES[:n])
+        system = _random_system(rng, p, n, fewest=2)
+        theirs = _sympy_basis([_to_sympy(t, syms) for t in system], syms, p, order)
+        gens = [ring.poly(t) for t in system]
+        a, b = rng.sample(gens, 2)
+        multiplier = ring.poly(_random_terms(rng, p, n, False))
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        for variant in (
+            gens[::-1],
+            shuffled,
+            [g for g in gens for _ in range(2)],
+            [a * multiplier] + gens,
+            gens + [a + b * multiplier, b * multiplier],
+        ):
+            ours = buchberger(variant, ring)
+            assert _fsing_basis(ours) == theirs, (p, order, system, variant)
+
+
 def test_all_monomial_inputs_match_sympy():
     rng = random.Random(8103)
     for k in range(24):

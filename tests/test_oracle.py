@@ -304,3 +304,58 @@ def test_module_state_detector(source, expected):
 def test_oracle_import_detector(source, expected):
     (node,) = ast.parse(source).body
     assert _imports_oracle(node) is expected
+
+
+def _dead_helpers(trees: dict[str, ast.AST]) -> list[str]:
+    # module-level ``_private`` functions and classes that no code in any
+    # of the modules names, apart from the helper's own body
+    def referenced(node: ast.AST) -> list[str]:
+        return [
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        ]
+
+    everywhere: dict[str, int] = {}
+    for tree in trees.values():
+        for name in referenced(tree):
+            everywhere[name] = everywhere.get(name, 0) + 1
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.endswith("__"):
+                continue
+            if everywhere.get(name, 0) == referenced(node).count(name):
+                dead.append(f"{module}:{name}")
+    return dead
+
+
+def test_no_dead_helpers():
+    # every private module-level helper in the package has a caller there
+    package = pathlib.Path(fsing.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    assert _dead_helpers(trees) == []
+
+
+@pytest.mark.parametrize(
+    "sources,expected",
+    [
+        ({"a": "def _dead():\n    pass"}, ["a:_dead"]),
+        ({"a": "class _Dead:\n    pass"}, ["a:_Dead"]),
+        ({"a": "def _loop(n):\n    return _loop(n - 1)"}, ["a:_loop"]),
+        ({"a": "def _used():\n    pass\n\ndef f():\n    return _used()"}, []),
+        ({"a": "class _Used:\n    pass\n\nX = _Used"}, []),
+        ({"a": "def _helper():\n    pass", "b": "from .a import _helper\n_helper()"}, []),
+        ({"a": "def _helper():\n    pass", "b": "from . import a\na._helper()"}, []),
+        ({"a": "def _helper():\n    pass", "b": "from .a import _helper"}, ["a:_helper"]),
+        ({"a": "def f():\n    def _inner():\n        pass"}, []),
+        ({"a": "def __getattr__(name):\n    pass"}, []),
+        ({"a": "def public():\n    pass"}, []),
+    ],
+)
+def test_dead_helper_detector(sources, expected):
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    assert _dead_helpers(trees) == expected

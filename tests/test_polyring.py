@@ -60,6 +60,11 @@ class TestRingConstruction:
         with pytest.raises(DomainError):
             Ring(p=2, var_names=("x",), order="degrevlex")
 
+    @pytest.mark.parametrize("kwargs", [{"p": 7.0}, {"p": "7"}, {"p": 7, "s": 1.5}])
+    def test_rejects_non_integer_characteristic_and_step(self, kwargs):
+        with pytest.raises(DomainError):
+            Ring(var_names=("x",), **kwargs)
+
     def test_value_equality(self):
         assert Ring(p=2, var_names=("x", "y")) == R2
         assert Ring(p=3, var_names=("x", "y")) != R2
@@ -72,6 +77,21 @@ class TestArithmetic:
         assert str(3 * x) == "x"
         a = R3.gens[0]
         assert str(2 * a + 2 * a) == "x"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: R2.poly({(1.5, 0): 1}),
+            lambda: R2.poly({(0.5, 0.5): 1}),
+            lambda: R2.poly({(1, 2): 1.5}),
+            lambda: R2.monomial((1, 2.0)),
+            lambda: R2.monomial((1, 2), 1.5),
+            lambda: R2.constant(1.0),
+        ],
+    )
+    def test_non_integer_exponents_and_coefficients_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
 
     def test_product_modulo_three(self):
         a = R3.gens[0]
@@ -129,6 +149,12 @@ class TestFrobenius:
         x, y = R2.gens
         assert (x + y).frobenius_power(1) == x**2 + y**2
         assert (x**3 * y**2).frobenius_power(2) == x**12 * y**8
+
+    @pytest.mark.parametrize("e", [1.5, 1.0])
+    def test_non_integer_level_rejected(self, e):
+        x, _ = R2.gens
+        with pytest.raises(DomainError):
+            x.frobenius_power(e)
 
     def test_level_zero_is_identity(self):
         x, y = R2.gens

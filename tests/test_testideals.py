@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import fsing.testideals as testideals
 from fsing import (
     DomainError,
     FptBracket,
@@ -49,6 +50,11 @@ class TestTestIdeal:
             tau(R1("x"), -1, 1)
         with pytest.raises(DomainError):
             tau(R1("x"), 2, 0)
+
+    @pytest.mark.parametrize("m,e", [(2.0, 1), (2, 1.5)])
+    def test_non_integer_exponent_or_level_rejected(self, m, e):
+        with pytest.raises(DomainError):
+            tau(R1("x"), m, e)
 
     def test_monotone_in_numerator(self):
         rng = random.Random(11)
@@ -143,6 +149,10 @@ class TestJeChain:
         with pytest.raises(DomainError):
             je_chain(R1("x"), 0)
 
+    def test_non_integer_length_rejected(self):
+        with pytest.raises(DomainError):
+            je_chain(R1("x"), 2.0)
+
 
 class TestNu:
     def test_single_variable(self):
@@ -179,6 +189,26 @@ class TestNu:
             nu(R1("0"), 1)
         with pytest.raises(DomainError):
             nu(R1("x + 1"), 1)
+
+    def test_non_integer_level_rejected(self):
+        with pytest.raises(DomainError):
+            nu(R1("x"), 2.0)
+
+    def test_descent_steps_grow_linearly_with_the_level(self, monkeypatch):
+        # the digits already found never change, so for the cusp each
+        # level's probe rejoins the previous level's descent after one
+        # step: 2e - 1 steps at p = 2, not e(e+1)/2
+        calls = []
+        step = testideals._Descent.step
+
+        def counted(self, d, ideal):
+            calls.append(d)
+            return step(self, d, ideal)
+
+        monkeypatch.setattr(testideals._Descent, "step", counted)
+        e = 2000
+        assert nu(R2("x^2 + y^3"), e) == 2 ** (e - 1) - 1
+        assert len(calls) <= 2 * e
 
     def test_against_linear_scan(self):
         rng = random.Random(23)
@@ -321,3 +351,7 @@ class TestMinimalityVsFpt:
             minimality_vs_fpt(R1("0"))
         with pytest.raises(DomainError):
             minimality_vs_fpt(R1("x"), e_max=0)
+
+    def test_non_integer_level_rejected(self):
+        with pytest.raises(DomainError):
+            minimality_vs_fpt(R1("x"), e_max=2.0)
