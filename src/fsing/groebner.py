@@ -8,17 +8,21 @@ chain criterion, and pruning of pending pairs whose lcm the newcomer's
 leading monomial strictly refines).  A unit remainder ends the computation
 at once.  Pending pairs keep their lcm and wait in a heap keyed by its
 order key; the smallest is taken first (the normal selection strategy).
-Division keeps its pending terms in a heap of order keys, and each
-divisor's leading data and keyed tail are cached on the polynomial
-(:meth:`Poly.reducer`).  No reduction or S-polynomial builds a term above
-``MAX_TOTAL_DEGREE``; one that would raises :class:`ResourceError`.  Every
-ideal exposes its reduced basis, which is unique for a fixed monomial
-order, so ideal equality, membership, intersection and quotients are all
-exact decisions.
+When every input generator is a single term, the ideal is a monomial ideal
+and its reduced basis is its set of minimal generators (Dickson's lemma),
+so that branch keeps each monomial no smaller one divides and forms no
+pair, S-polynomial or division at all.  Division keeps its pending terms
+in a heap of order keys, and each divisor's leading data and keyed tail
+are cached on the polynomial (:meth:`Poly.reducer`).  No reduction or
+S-polynomial builds a term above ``MAX_TOTAL_DEGREE``; one that would
+raises :class:`ResourceError`.  Every ideal exposes its reduced basis,
+which is unique for a fixed monomial order, so ideal equality,
+membership, intersection and quotients are all exact decisions.
 
 The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis
 computation; exceeding it raises :class:`ResourceError` with the partial
-basis.  Library callers set it with ``MAX_SPAIRS.set`` and undo that with
+basis.  All-monomial bases spend no S-pairs, so no cap refuses them.
+Library callers set it with ``MAX_SPAIRS.set`` and undo that with
 ``MAX_SPAIRS.reset``; each thread keeps its own value.
 """
 
@@ -33,7 +37,8 @@ from .errors import DomainError, InvariantError, ResourceError, RingMismatchErro
 from .polyring import MAX_TOTAL_DEGREE, Exponents, Poly, Ring
 
 # Cap on S-pairs per basis computation, read once per buchberger call; the
-# CLI's ``--budget-spairs`` sets it for one command.
+# CLI's ``--budget-spairs`` sets it for one command.  All-monomial inputs
+# spend none.
 MAX_SPAIRS: ContextVar[int] = ContextVar("MAX_SPAIRS", default=200_000)
 
 
@@ -162,9 +167,27 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
 
     Returns monic, pairwise auto-reduced polynomials sorted by leading
     monomial, largest first; the empty tuple presents the zero ideal.
+    When every generator is a single term, the basis is read off by
+    divisibility alone: no pair is formed and no S-pair is spent.
     """
     budget = MAX_SPAIRS.get()
     key = ring.monomial_key()
+    gens = list(gens)
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatchError("generators must live in the stated ring")
+    if all(len(g) <= 1 for g in gens):
+        # A monomial ideal's reduced basis is its minimal generators
+        # (Dickson's lemma).  A proper divisor has smaller total degree, so
+        # in degree order every divisor of a monomial is seen before it; a
+        # constant comes first and leaves the unit basis (1).
+        monos = sorted({m for g in gens for m in g._terms}, key=sum)
+        minimal: list[Exponents] = []
+        for m in monos:
+            if not any(_monomial_divides(k, m) for k in minimal):
+                minimal.append(m)
+        minimal.sort(key=key, reverse=True)
+        return tuple(Poly(ring, {m: 1}) for m in minimal)
 
     polys: list[Poly] = []       # all monic polynomials ever admitted
     lms: list[Exponents] = []    # their leading monomials
@@ -217,8 +240,6 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
         return False
 
     for g in gens:
-        if g.ring != ring:
-            raise RingMismatchError("generators must live in the stated ring")
         if admit(g):
             return (ring.one,)
 
@@ -264,7 +285,9 @@ class Ideal:
         kept: list[Poly] = []
         for g in gens:
             if not isinstance(g, Poly):
-                raise TypeError("ideal generators must be polynomials")
+                raise DomainError(
+                    f"ideal generators must be polynomials, got {type(g).__name__}"
+                )
             if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("generators must share the ideal's ring")
             if g._terms:

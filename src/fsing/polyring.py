@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DomainError, ParseError, ResourceError, RingMismatchError
@@ -220,6 +220,11 @@ class Ring:
             return text
         if isinstance(text, int):
             return self.constant(text)
+        if not isinstance(text, str):
+            raise DomainError(
+                "ring elements are built from text, integers or polynomials, "
+                f"got {type(text).__name__}"
+            )
         return parse_poly(self, text)
 
     def __str__(self) -> str:
@@ -341,7 +346,7 @@ class Poly:
         if isinstance(other, int):
             return self.ring.constant(other)
         if not isinstance(other, Poly):
-            raise TypeError(f"cannot combine Poly with {type(other).__name__}")
+            raise DomainError(f"cannot combine Poly with {type(other).__name__}")
         if other.ring != self.ring:
             raise RingMismatchError(
                 f"operands live in different rings: {self.ring} vs {other.ring}"
@@ -385,7 +390,7 @@ class Poly:
         out: dict[Exponents, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 v = (out.get(m, 0) + c1 * c2) % p
                 if v:
                     out[m] = v
@@ -416,7 +421,7 @@ class Poly:
         This keeps powers like f**(1 + q + q**2) sparse instead of dense.
         """
         if not isinstance(m, int):
-            raise TypeError("polynomial powers take integer exponents")
+            raise DomainError(f"polynomial powers take integer exponents, got {m!r}")
         if m < 0:
             raise DomainError("polynomial powers take nonnegative exponents")
         if m == 0:

@@ -172,6 +172,27 @@ class TestBuchberger:
         with spair_budget(cap):
             assert buchberger(gens, ring)
 
+    def test_monomial_bases_spend_no_spairs(self):
+        # an all-monomial basis forms no pairs, so even a cap of 0 suffices
+        x, y = R2.gens
+        with spair_budget(0):
+            assert buchberger([x * y, x**2, y**3, x * y**2], R2) == (
+                y**3,
+                x**2,
+                x * y,
+            )
+
+    def test_monomial_bases_need_no_division_or_spolys(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a monomial basis divided or built an S-polynomial")
+
+        monkeypatch.setattr(groebner, "poly_division", refuse)
+        monkeypatch.setattr(groebner, "_spoly", refuse)
+        x, y = R3.gens
+        gens = [2 * x**2 * y, R3.zero, x * y**3, 2 * x**3, x**2 * y, y**5]
+        assert buchberger(gens, R3) == (y**5, x * y**3, x**3, x**2 * y)
+        assert buchberger([x * y, R3.constant(2), y], R3) == (R3.one,)
+
     def test_textbook_pair(self):
         # classic: in F_5[x,y] grevlex, {x^2 + y, x*y + x} closes up with y^2 + y
         x, y = R5.gens
@@ -245,6 +266,58 @@ class TestBuchberger:
                 for j in range(i + 1, len(gb)):
                     s = groebner._spoly(gb[i], gb[j])
                     assert not normal_form(s, list(gb))
+
+
+def minimal_antichain(monomials):
+    # the minimal elements under divisibility, from exponent tuples alone
+    distinct = set(monomials)
+    return {
+        m
+        for m in distinct
+        if not any(d != m and all(a <= b for a, b in zip(d, m)) for d in distinct)
+    }
+
+
+def rand_monomial_gens(rng, ring):
+    n = ring.n
+    gens = []
+    for _ in range(rng.randint(2, 7)):
+        m = tuple(rng.randint(0, 3) for _ in range(n))
+        if not any(m):
+            m = (1,) + m[1:]
+        gens.append(ring.monomial(m, rng.randrange(1, ring.p)))
+    if rng.random() < 0.5:
+        gens.append(ring.zero)
+    if rng.random() < 0.5:
+        gens.append(rng.choice(gens))
+    if rng.random() < 0.5:
+        shift = [rng.randint(0, 2) for _ in range(n)]
+        gens.append(rng.choice(gens) * ring.monomial(shift, rng.randrange(1, ring.p)))
+    if rng.random() < 0.1:
+        gens.append(ring.constant(rng.randrange(1, ring.p)))
+    rng.shuffle(gens)
+    return gens
+
+
+class TestMonomialBases:
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_agrees_with_spairs_and_with_the_antichain(self, p, order):
+        ring = Ring(p=p, var_names=("x", "y", "z"), order=order)
+        rng = random.Random(1000 * p + len(order))
+        for _ in range(40):
+            gens = rand_monomial_gens(rng, ring)
+            gb = buchberger(gens, ring)
+            # a redundant two-term generator sends the same ideal through
+            # the S-pair route
+            nonzero = [g for g in gens if g]
+            f, g = rng.sample(nonzero, 2)
+            if f.leading_monomial() == g.leading_monomial():
+                g = g * ring.gens[rng.randrange(ring.n)]
+            assert buchberger(gens + [f + g], ring) == gb
+            assert all(h.leading_coeff() == 1 and len(h) == 1 for h in gb)
+            expected = minimal_antichain(m for h in nonzero for m, _ in h.terms())
+            assert {h.leading_monomial() for h in gb} == expected
 
 
 class TestMembership:
@@ -424,6 +497,10 @@ class TestConstructionErrors:
             Ideal(R2, R2.gens) + Ideal(R3, R3.gens)
         with pytest.raises(RingMismatchError):
             Ideal(R2, R2.gens).intersection(Ideal(R3, R3.gens))
+
+    def test_non_polynomial_generator_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            Ideal(R2, ("x",))
 
     def test_zero_generators_dropped(self):
         x, _ = R2.gens

@@ -93,6 +93,22 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: R2(1.5),
+            lambda: R2(None),
+            lambda: R2.gens[0] + 1.5,
+            lambda: 1.5 + R2.gens[0],
+            lambda: R2.gens[0] * 1.5,
+            lambda: R2.gens[0] ** 1.5,
+        ],
+        ids=["ring_call_float", "ring_call_none", "add", "radd", "mul", "pow"],
+    )
+    def test_non_polynomial_operands_are_domain_errors(self, build):
+        with pytest.raises(DomainError):
+            build()
+
     def test_product_modulo_three(self):
         a = R3.gens[0]
         assert (a + 1) * (a + 2) == a**2 + 2
