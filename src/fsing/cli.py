@@ -4,9 +4,16 @@ Exit codes: 0 success, 1 domain or validation problems, 2 exhausted
 resource budgets, 3 unparseable input or usage errors.  With ``--json``
 every result is a single JSON object with the fixed top-level fields
 ``command``, ``ring``, ``input``, ``result``, optional ``certificate`` and
-``timing_ms``; ``--file`` processes one input per line and emits one JSON
-object per line (JSON mode is implied).  Ideal-valued arguments take
-semicolon-separated generators in one shell argument.
+``timing_ms``; a failure is one object with ``command``, ``ring``,
+``input`` and ``error``, also when the ring itself cannot be built (its
+``ring`` then echoes the flags).  ``--file`` processes one input per line
+and emits one JSON object per line (JSON mode is implied).  Ideal-valued
+arguments take semicolon-separated generators in one shell argument.
+
+Each subcommand is declared once, in ``_COMMANDS``: its help, its own
+options and a handler that returns the JSON payload next to the human
+lines.  Every subcommand takes the ring flags, ``--json``, ``--file`` and
+``--budget-spairs``; ``--budget-iters`` belongs to ``minimalize`` alone.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import json
 import math
 import sys
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import FSingError, ParseError, ResourceError
 from .frobmod import FrobModule
@@ -42,6 +49,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+class _Outcome(NamedTuple):
+    input: dict[str, Any]
+    result: dict[str, Any]
+    lines: list[str]  # the human rendering, before any certificate lines
+    certificate: dict[str, Any] | None = None
+    failed: bool = False  # exit 1 although a result was produced
+
+
 def _parse_ideal(ring: Ring, text: str) -> Ideal:
     parts = [part.strip() for part in text.split(";")]
     gens = [ring(part) for part in parts if part]
@@ -50,6 +65,262 @@ def _parse_ideal(ring: Ring, text: str) -> Ideal:
 
 def _gen_strings(ideal: Ideal) -> list[str]:
     return [str(g) for g in ideal.groebner()]
+
+
+def _listing(gens: list[str]) -> str:
+    return "(" + (", ".join(gens) or "0") + ")"
+
+
+def _ideal_input(ideal: Ideal, level: int) -> dict[str, Any]:
+    return {"ideal": [str(g) for g in ideal.gens], "level": level}
+
+
+def _generators(inp: dict[str, Any], ideal: Ideal) -> _Outcome:
+    gens = _gen_strings(ideal)
+    return _Outcome(inp, {"generators": gens}, [f"generators: {_listing(gens)}"])
+
+
+def _cmd_root(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
+    ideal = _parse_ideal(ring, text)
+    return _generators(_ideal_input(ideal, args.level), ideal_root(ideal, args.level))
+
+
+def _cmd_bracket(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
+    ideal = _parse_ideal(ring, text)
+    power = ideal.bracket_power(args.level)
+    return _generators(_ideal_input(ideal, args.level), power)
+
+
+def _cmd_testideal(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
+    f = ring(text)
+    ideal = test_ideal(f, args.m, args.e)
+    return _generators({"poly": str(f), "m": args.m, "e": args.e}, ideal)
+
+
+def _cmd_fpt(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
+    f = ring(text)
+    # nu and the bracket denominators reach q^e, which must convert to text
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.max_e * math.log10(ring.q) >= limit:
+        raise ResourceError(
+            f"level {args.max_e} gives numbers of more than {limit} digits"
+        )
+    bracket = fpt_bracket(f, args.max_e)
+    result = {
+        "level": bracket.level,
+        "nu": bracket.nu,
+        "lo": str(bracket.lo),
+        "hi": str(bracket.hi),
+        "interval": str(bracket),
+    }
+    lines = [f"level: {bracket.level}", f"nu: {bracket.nu}", f"bracket: {bracket}"]
+    return _Outcome({"poly": str(f), "max_e": args.max_e}, result, lines)
+
+
+def _cmd_je_chain(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
+    f = ring(text)
+    levels = je_chain(f, args.max_e)
+    rows = [
+        {
+            "level": lv.level,
+            "direct": _gen_strings(lv.direct),
+            "iterated": _gen_strings(lv.iterated),
+            "equal": lv.equal,
+        }
+        for lv in levels
+    ]
+    all_equal = all(lv.equal for lv in levels)
+    lines = [
+        f"e={row['level']}: direct={_listing(row['direct'])} "
+        f"iterated={_listing(row['iterated'])} [{'ok' if row['equal'] else 'MISMATCH'}]"
+        for row in rows
+    ]
+    lines.append(f"all levels equal: {all_equal}")
+    result = {"levels": rows, "all_equal": all_equal}
+    return _Outcome({"poly": str(f), "max_e": args.max_e}, result, lines)
+
+
+def _module_from_args(
+    ring: Ring, args: argparse.Namespace, text: str
+) -> tuple[FrobModule, dict[str, Any]]:
+    relations = _parse_ideal(ring, args.K)
+    ambient = _parse_ideal(ring, args.N)
+    module = FrobModule.validate(relations, ambient, ring(text))
+    inp = {
+        "multiplier": str(module.multiplier),
+        "relations": [str(g) for g in module.relations.gens],
+        "ambient": [str(g) for g in module.ambient.gens],
+    }
+    return module, inp
+
+
+def _cmd_minimalize(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
+    module, inp = _module_from_args(ring, args, text)
+    report = module.minimalize(iteration_budget=args.budget_iters)
+    result = {
+        "relations": _gen_strings(report.result.relations),
+        "ambient": _gen_strings(report.result.ambient),
+        "kernel_chain_length": report.kernel_chain_length,
+        "fr_iterations": report.fr_iterations,
+    }
+    lines = [
+        f"relations: {_listing(result['relations'])}",
+        f"ambient: {_listing(result['ambient'])}",
+        f"kernel chain length: {report.kernel_chain_length}",
+        f"fr iterations: {report.fr_iterations}",
+    ]
+    return _Outcome(inp, result, lines, report.certificate.as_dict())
+
+
+def _cmd_nilpotency(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
+    module, inp = _module_from_args(ring, args, text)
+    order = module.nilpotency_order(args.max_e)
+    result = {"order": order, "within_budget": order is not None, "budget": args.max_e}
+    if order is None:
+        line = f"not nilpotent within budget {args.max_e}"
+    else:
+        line = f"nilpotent of order {order}"
+    return _Outcome({**inp, "max_e": args.max_e}, result, [line])
+
+
+def _cmd_verify(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
+    ideal = _parse_ideal(ring, text)
+    level = args.level
+    checks: list[dict[str, str]] = []
+
+    def record(name: str, ok: bool | None) -> None:
+        status = "skipped" if ok is None else "passed" if ok else "failed"
+        checks.append({"name": name, "status": status})
+
+    root = ideal_root(ideal, level)
+
+    # the root must be big enough: I <= root^[q^e]
+    bracket = root.bracket_power(level)
+    record("root-bracket-containment", all(bracket.contains(g) for g in ideal.gens))
+
+    if level >= 2:
+        iterated = ideal
+        for _ in range(level):
+            iterated = ideal_root(iterated, 1)
+        record("iterated-root-agreement", iterated == root)
+    else:
+        record("iterated-root-agreement", None)
+
+    if ideal.gens and all(g.is_monomial() for g in ideal.gens):
+        floors = [
+            monomial_root_oracle(g.leading_monomial(), ring.q, level) for g in ideal.gens
+        ]
+        expected = Ideal(ring, tuple(map(ring.monomial, floors)))
+        record("monomial-floor-oracle", expected == root)
+    else:
+        record("monomial-floor-oracle", None)
+
+    max_ideal_bracket = Ideal(
+        ring, tuple(g.frobenius_power(level) for g in ring.gens)
+    )
+    agree = all(
+        bracket_membership_oracle(g, level) == max_ideal_bracket.contains(g)
+        for g in ideal.gens
+    )
+    record("bracket-membership-oracle", agree)
+
+    root_gb = root.groebner()
+    found = None
+    if (
+        len(ideal.gens) == 1
+        and ring.n <= 2
+        and root_gb
+        and all(g.is_monomial() for g in root_gb)
+        and max(max(g.leading_monomial()) for g in root_gb) <= 6
+    ):
+        cap = max(max(g.leading_monomial()) for g in root_gb) + 1
+        try:
+            found = smallest_ideal_bruteforce(ideal.gens[0], level, cap) == root
+        except ResourceError:
+            pass
+    record("smallest-ideal-search", found)
+
+    all_passed = all(c["status"] != "failed" for c in checks)
+    lines = [f"{c['name']}: {c['status']}" for c in checks]
+    lines.append(f"all passed: {all_passed}")
+    result = {"checks": checks, "all_passed": all_passed}
+    return _Outcome(_ideal_input(ideal, level), result, lines, failed=not all_passed)
+
+
+class _Command(NamedTuple):
+    help: str
+    input_help: str
+    options: tuple[tuple[str, dict[str, Any]], ...]
+    run: Callable[[Ring, argparse.Namespace, str], _Outcome]
+
+
+_IDEAL_TEXT = "polynomial, or generators joined by ';'"
+_ROOT_LEVEL = ("--level", dict(type=int, default=1, help="root level e >= 1"))
+_MODULE_OPTIONS = (
+    ("--K", dict(default="0", help="relation ideal generators (default 0)")),
+    ("--N", dict(default="1", help="ambient ideal generators (default 1)")),
+)
+_BUDGET_ITERS = (
+    "--budget-iters",
+    dict(type=int, default=64, help="cap on fixed-point iterations (default 64)"),
+)
+
+_COMMANDS: dict[str, _Command] = {
+    "root": _Command(
+        "Frobenius root of a polynomial or ideal",
+        _IDEAL_TEXT,
+        (_ROOT_LEVEL,),
+        _cmd_root,
+    ),
+    "bracket": _Command(
+        "bracket power of an ideal",
+        "generators joined by ';'",
+        (("--level", dict(type=int, default=1, help="bracket level e >= 0")),),
+        _cmd_bracket,
+    ),
+    "testideal": _Command(
+        "test ideal of f at exponent m/q^e",
+        "polynomial f",
+        (
+            ("--m", dict(type=int, required=True, help="numerator exponent")),
+            ("--e", dict(type=int, required=True, help="level, denominator q^e")),
+        ),
+        _cmd_testideal,
+    ),
+    "fpt": _Command(
+        "F-pure threshold bracket at a level",
+        "polynomial f with f(0) = 0",
+        (("--max-e", dict(type=int, default=6, help="bracket level (default 6)")),),
+        _cmd_fpt,
+    ),
+    "je-chain": _Command(
+        "direct vs iterated test-ideal chains, level by level",
+        "polynomial f",
+        (("--max-e", dict(type=int, default=4, help="chain length (default 4)")),),
+        _cmd_je_chain,
+    ),
+    "minimalize": _Command(
+        "minimal model of a module",
+        "multiplier polynomial f",
+        (*_MODULE_OPTIONS, _BUDGET_ITERS),
+        _cmd_minimalize,
+    ),
+    "nilpotency": _Command(
+        "order of nilpotency, if within budget",
+        "multiplier polynomial f",
+        (
+            *_MODULE_OPTIONS,
+            ("--max-e", dict(type=int, default=32, help="budget (default 32)")),
+        ),
+        _cmd_nilpotency,
+    ),
+    "verify": _Command(
+        "cross-check the fast paths against the brute-force oracles",
+        _IDEAL_TEXT,
+        (_ROOT_LEVEL,),
+        _cmd_verify,
+    ),
+}
 
 
 def build_parser() -> _ArgumentParser:
@@ -79,267 +350,18 @@ def build_parser() -> _ArgumentParser:
         default=None,
         help="cap on S-pairs per basis computation",
     )
-    common.add_argument(
-        "--budget-iters",
-        type=int,
-        default=64,
-        help="cap on fixed-point iterations (default 64)",
-    )
 
     parser = _ArgumentParser(
         prog="fsing",
         description="Exact Frobenius computations over F_p[x1..xn].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "root",
-        parents=[common],
-        help="Frobenius root of a polynomial or ideal",
-    )
-    sp.add_argument("--level", type=int, default=1, help="root level e >= 1")
-    sp.add_argument("input", nargs="?", help="polynomial, or generators joined by ';'")
-
-    sp = sub.add_parser(
-        "bracket", parents=[common], help="bracket power of an ideal"
-    )
-    sp.add_argument("--level", type=int, default=1, help="bracket level e >= 0")
-    sp.add_argument("input", nargs="?", help="generators joined by ';'")
-
-    sp = sub.add_parser(
-        "testideal", parents=[common], help="test ideal of f at exponent m/q^e"
-    )
-    sp.add_argument("--m", type=int, required=True, help="numerator exponent")
-    sp.add_argument("--e", type=int, required=True, help="level, denominator q^e")
-    sp.add_argument("input", nargs="?", help="polynomial f")
-
-    sp = sub.add_parser(
-        "fpt", parents=[common], help="F-pure threshold bracket at a level"
-    )
-    sp.add_argument("--max-e", type=int, default=6, help="bracket level (default 6)")
-    sp.add_argument("input", nargs="?", help="polynomial f with f(0) = 0")
-
-    sp = sub.add_parser(
-        "je-chain",
-        parents=[common],
-        help="direct vs iterated test-ideal chains, level by level",
-    )
-    sp.add_argument("--max-e", type=int, default=4, help="chain length (default 4)")
-    sp.add_argument("input", nargs="?", help="polynomial f")
-
-    sp = sub.add_parser(
-        "minimalize", parents=[common], help="minimal model of a module"
-    )
-    sp.add_argument("--K", default="0", help="relation ideal generators (default 0)")
-    sp.add_argument("--N", default="1", help="ambient ideal generators (default 1)")
-    sp.add_argument("input", nargs="?", help="multiplier polynomial f")
-
-    sp = sub.add_parser(
-        "nilpotency", parents=[common], help="order of nilpotency, if within budget"
-    )
-    sp.add_argument("--K", default="0", help="relation ideal generators (default 0)")
-    sp.add_argument("--N", default="1", help="ambient ideal generators (default 1)")
-    sp.add_argument("--max-e", type=int, default=32, help="budget (default 32)")
-    sp.add_argument("input", nargs="?", help="multiplier polynomial f")
-
-    sp = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="cross-check the fast paths against the brute-force oracles",
-    )
-    sp.add_argument("--level", type=int, default=1, help="root level e >= 1")
-    sp.add_argument("input", nargs="?", help="polynomial, or generators joined by ';'")
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, options in command.options:
+            sp.add_argument(flag, **options)
+        sp.add_argument("input", nargs="?", help=command.input_help)
     return parser
-
-
-Payload = tuple[dict[str, Any], dict[str, Any], dict[str, Any] | None]
-
-
-def _cmd_root(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
-    ideal = _parse_ideal(ring, text)
-    root = ideal_root(ideal, args.level)
-    inp = {"ideal": [str(g) for g in ideal.gens], "level": args.level}
-    return inp, {"generators": _gen_strings(root)}, None
-
-
-def _cmd_bracket(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
-    ideal = _parse_ideal(ring, text)
-    power = ideal.bracket_power(args.level)
-    inp = {"ideal": [str(g) for g in ideal.gens], "level": args.level}
-    return inp, {"generators": _gen_strings(power)}, None
-
-
-def _cmd_testideal(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
-    f = ring(text)
-    ideal = test_ideal(f, args.m, args.e)
-    inp = {"poly": str(f), "m": args.m, "e": args.e}
-    return inp, {"generators": _gen_strings(ideal)}, None
-
-
-def _cmd_fpt(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
-    f = ring(text)
-    # nu and the bracket denominators reach q^e, which must convert to text
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and args.max_e * math.log10(ring.q) >= limit:
-        raise ResourceError(
-            f"level {args.max_e} gives numbers of more than {limit} digits"
-        )
-    bracket = fpt_bracket(f, args.max_e)
-    inp = {"poly": str(f), "max_e": args.max_e}
-    result = {
-        "level": bracket.level,
-        "nu": bracket.nu,
-        "lo": str(bracket.lo),
-        "hi": str(bracket.hi),
-        "interval": str(bracket),
-    }
-    return inp, result, None
-
-
-def _cmd_je_chain(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
-    f = ring(text)
-    levels = je_chain(f, args.max_e)
-    inp = {"poly": str(f), "max_e": args.max_e}
-    rows = [
-        {
-            "level": lv.level,
-            "direct": _gen_strings(lv.direct),
-            "iterated": _gen_strings(lv.iterated),
-            "equal": lv.equal,
-        }
-        for lv in levels
-    ]
-    return inp, {"levels": rows, "all_equal": all(lv.equal for lv in levels)}, None
-
-
-def _module_from_args(ring: Ring, args: argparse.Namespace, text: str) -> FrobModule:
-    relations = _parse_ideal(ring, args.K)
-    ambient = _parse_ideal(ring, args.N)
-    return FrobModule.validate(relations, ambient, ring(text))
-
-
-def _cmd_minimalize(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
-    module = _module_from_args(ring, args, text)
-    report = module.minimalize(iteration_budget=args.budget_iters)
-    inp = {
-        "multiplier": str(module.multiplier),
-        "relations": [str(g) for g in module.relations.gens],
-        "ambient": [str(g) for g in module.ambient.gens],
-    }
-    result = {
-        "relations": _gen_strings(report.result.relations),
-        "ambient": _gen_strings(report.result.ambient),
-        "kernel_chain_length": report.kernel_chain_length,
-        "fr_iterations": report.fr_iterations,
-    }
-    return inp, result, report.certificate.as_dict()
-
-
-def _cmd_nilpotency(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
-    module = _module_from_args(ring, args, text)
-    order = module.nilpotency_order(args.max_e)
-    inp = {
-        "multiplier": str(module.multiplier),
-        "relations": [str(g) for g in module.relations.gens],
-        "ambient": [str(g) for g in module.ambient.gens],
-        "max_e": args.max_e,
-    }
-    result = {
-        "order": order,
-        "within_budget": order is not None,
-        "budget": args.max_e,
-    }
-    return inp, result, None
-
-
-def _cmd_verify(ring: Ring, args: argparse.Namespace, text: str) -> Payload:
-    ideal = _parse_ideal(ring, text)
-    level = args.level
-    checks: list[dict[str, str]] = []
-
-    def record(name: str, status: str) -> None:
-        checks.append({"name": name, "status": status})
-
-    root = ideal_root(ideal, level)
-
-    # the root must be big enough: I <= root^[q^e]
-    bracket = root.bracket_power(level)
-    ok = all(bracket.contains(g) for g in ideal.gens)
-    record("root-bracket-containment", "passed" if ok else "failed")
-
-    if level >= 2:
-        iterated = ideal
-        for _ in range(level):
-            iterated = ideal_root(iterated, 1)
-        record(
-            "iterated-root-agreement",
-            "passed" if iterated == root else "failed",
-        )
-    else:
-        record("iterated-root-agreement", "skipped")
-
-    if ideal.gens and all(g.is_monomial() for g in ideal.gens):
-        expected = Ideal(
-            ring,
-            tuple(
-                ring.monomial(
-                    monomial_root_oracle(g.leading_monomial(), ring.q, level)
-                )
-                for g in ideal.gens
-            ),
-        )
-        record(
-            "monomial-floor-oracle",
-            "passed" if expected == root else "failed",
-        )
-    else:
-        record("monomial-floor-oracle", "skipped")
-
-    max_ideal_bracket = Ideal(
-        ring, tuple(g.frobenius_power(level) for g in ring.gens)
-    )
-    agree = all(
-        bracket_membership_oracle(g, level) == max_ideal_bracket.contains(g)
-        for g in ideal.gens
-    )
-    record("bracket-membership-oracle", "passed" if agree else "failed")
-
-    root_gb = root.groebner()
-    if (
-        len(ideal.gens) == 1
-        and ring.n <= 2
-        and root_gb
-        and all(g.is_monomial() for g in root_gb)
-        and max(max(g.leading_monomial()) for g in root_gb) <= 6
-    ):
-        cap = max(max(g.leading_monomial()) for g in root_gb) + 1
-        try:
-            found = smallest_ideal_bruteforce(ideal.gens[0], level, cap)
-            record(
-                "smallest-ideal-search",
-                "passed" if found == root else "failed",
-            )
-        except ResourceError:
-            record("smallest-ideal-search", "skipped")
-    else:
-        record("smallest-ideal-search", "skipped")
-
-    inp = {"ideal": [str(g) for g in ideal.gens], "level": level}
-    all_passed = all(c["status"] != "failed" for c in checks)
-    return inp, {"checks": checks, "all_passed": all_passed}, None
-
-
-_HANDLERS: dict[str, Callable[[Ring, argparse.Namespace, str], Payload]] = {
-    "root": _cmd_root,
-    "bracket": _cmd_bracket,
-    "testideal": _cmd_testideal,
-    "fpt": _cmd_fpt,
-    "je-chain": _cmd_je_chain,
-    "minimalize": _cmd_minimalize,
-    "nilpotency": _cmd_nilpotency,
-    "verify": _cmd_verify,
-}
 
 
 def _classify(err: Exception) -> int:
@@ -350,105 +372,62 @@ def _classify(err: Exception) -> int:
     return EXIT_DOMAIN
 
 
-def _ring_payload(ring: Ring) -> dict[str, Any]:
-    return {
-        "p": ring.p,
-        "s": ring.s,
-        "vars": list(ring.var_names),
-        "order": ring.order,
-    }
+def _ring_payload(p: int, s: int, var_names: Sequence[str], order: str) -> dict[str, Any]:
+    return {"p": p, "s": s, "vars": list(var_names), "order": order}
 
 
-def _render_human(command: str, result: dict[str, Any], certificate: dict | None) -> str:
-    lines: list[str] = []
-    if command in ("root", "bracket", "testideal"):
-        gens = result["generators"]
-        lines.append("generators: " + ("(" + ", ".join(gens) + ")" if gens else "(0)"))
-    elif command == "fpt":
-        lines.append(f"level: {result['level']}")
-        lines.append(f"nu: {result['nu']}")
-        lines.append(f"bracket: {result['interval']}")
-    elif command == "je-chain":
-        for row in result["levels"]:
-            direct = ", ".join(row["direct"]) or "0"
-            iterated = ", ".join(row["iterated"]) or "0"
-            flag = "ok" if row["equal"] else "MISMATCH"
-            lines.append(
-                f"e={row['level']}: direct=({direct}) iterated=({iterated}) [{flag}]"
-            )
-        lines.append(f"all levels equal: {result['all_equal']}")
-    elif command == "minimalize":
-        rel = ", ".join(result["relations"]) or "0"
-        amb = ", ".join(result["ambient"]) or "0"
-        lines.append(f"relations: ({rel})")
-        lines.append(f"ambient: ({amb})")
-        lines.append(f"kernel chain length: {result['kernel_chain_length']}")
-        lines.append(f"fr iterations: {result['fr_iterations']}")
-    elif command == "nilpotency":
-        if result["within_budget"]:
-            lines.append(f"nilpotent of order {result['order']}")
-        else:
-            lines.append(f"not nilpotent within budget {result['budget']}")
-    elif command == "verify":
-        for check in result["checks"]:
-            lines.append(f"{check['name']}: {check['status']}")
-        lines.append(f"all passed: {result['all_passed']}")
-    if certificate is not None:
-        for name, value in certificate.items():
-            lines.append(f"certificate {name}: {value}")
-    return "\n".join(lines)
+def _print_error_record(
+    command: str, ring: dict[str, Any], inp: dict[str, Any], err: FSingError
+) -> None:
+    error = {"type": type(err).__name__, "message": str(err)}
+    print(json.dumps({"command": command, "ring": ring, "input": inp, "error": error}))
 
 
 def _run_one(
     ring: Ring, args: argparse.Namespace, text: str, as_json: bool
 ) -> int:
-    handler = _HANDLERS[args.command]
+    ring_payload = _ring_payload(ring.p, ring.s, ring.var_names, ring.order)
     start = time.perf_counter()
     try:
-        inp, result, certificate = handler(ring, args, text)
+        outcome = _COMMANDS[args.command].run(ring, args, text)
     except FSingError as err:
-        code = _classify(err)
         if as_json:
-            record = {
-                "command": args.command,
-                "ring": _ring_payload(ring),
-                "input": {"text": text},
-                "error": {"type": type(err).__name__, "message": str(err)},
-            }
-            print(json.dumps(record))
+            _print_error_record(args.command, ring_payload, {"text": text}, err)
         print(f"fsing {args.command}: error: {err}", file=sys.stderr)
-        return code
+        return _classify(err)
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    certificate = outcome.certificate
     if as_json:
         record: dict[str, Any] = {
             "command": args.command,
-            "ring": _ring_payload(ring),
-            "input": inp,
-            "result": result,
+            "ring": ring_payload,
+            "input": outcome.input,
+            "result": outcome.result,
         }
         if certificate is not None:
             record["certificate"] = certificate
         record["timing_ms"] = elapsed_ms
         print(json.dumps(record))
     else:
-        print(_render_human(args.command, result, certificate))
-    if args.command == "verify" and not result["all_passed"]:
-        return EXIT_DOMAIN
-    return EXIT_OK
+        lines = outcome.lines + [
+            f"certificate {name}: {value}" for name, value in (certificate or {}).items()
+        ]
+        print("\n".join(lines))
+    return EXIT_DOMAIN if outcome.failed else EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    var_names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     try:
-        ring = Ring(
-            p=args.p,
-            var_names=tuple(v.strip() for v in args.vars.split(",") if v.strip()),
-            s=args.s,
-            order=args.order,
-        )
+        ring = Ring(p=args.p, var_names=var_names, s=args.s, order=args.order)
     except FSingError as err:
+        if args.json or args.file is not None:
+            flags = _ring_payload(args.p, args.s, var_names, args.order)
+            inp = {"text": args.input} if args.file is None else {"file": args.file}
+            _print_error_record(args.command, flags, inp, err)
         print(f"fsing: error: {err}", file=sys.stderr)
         return _classify(err)
 

@@ -285,8 +285,12 @@ class FrobModule:
         quotient modulo nilpotents or by its shrunken submodule leads to
         the identical ideal pair.  A module whose minimal model is zero
         comes out with relations equal to ambient (the stabilized kernel
-        chain on both sides).
+        chain on both sides).  ``iteration_budget`` must be an integer >= 0.
         """
+        if not isinstance(iteration_budget, int) or iteration_budget < 0:
+            raise DomainError(
+                f"the iteration budget must be an integer >= 0, got {iteration_budget!r}"
+            )
         relations_min, chain_length = self._kernel_chain()
         f = self.multiplier
         cur = (self.ambient + relations_min).canonical()
@@ -334,7 +338,7 @@ class FrobModule:
         multiplier; anything else raises.
         """
         if not isinstance(other, FrobModule):
-            raise TypeError("comparison partner must be a FrobModule")
+            raise DomainError("comparison partner must be a FrobModule")
         if other.ring != self.ring:
             raise RingMismatchError("cannot compare modules over different rings")
         if other.multiplier != self.multiplier:

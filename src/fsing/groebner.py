@@ -21,7 +21,8 @@ membership, intersection and quotients are all exact decisions.
 
 The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis
 computation; exceeding it raises :class:`ResourceError` with the partial
-basis.  All-monomial bases spend no S-pairs, so no cap refuses them.
+basis.  All-monomial bases spend no S-pairs, so no cap refuses them; a
+cap that is not an integer >= 0 raises :class:`DomainError`.
 Library callers set it with ``MAX_SPAIRS.set`` and undo that with
 ``MAX_SPAIRS.reset``; each thread keeps its own value.
 """
@@ -171,6 +172,8 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     divisibility alone: no pair is formed and no S-pair is spent.
     """
     budget = MAX_SPAIRS.get()
+    if not isinstance(budget, int) or budget < 0:
+        raise DomainError(f"the S-pair budget must be an integer >= 0, got {budget!r}")
     key = ring.monomial_key()
     gens = list(gens)
     for g in gens:

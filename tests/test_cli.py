@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.metadata
 import json
 import shutil
@@ -10,7 +11,8 @@ import sys
 
 import pytest
 
-from fsing.cli import main
+import fsing.cli as cli
+from fsing.cli import build_parser, main
 from fsing import Certificate, FrobModule, Ideal, Ring, buchberger
 from fsing.groebner import MAX_SPAIRS
 
@@ -145,6 +147,34 @@ class TestHumanOutput:
         assert "ambient: (x)" in out
         assert "certificate structural-map-injective: True" in out
         assert "certificate fr-fixed: True" in out
+
+    def test_bracket(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bracket", "--p", "3", "--vars", "x,y", "x + y; x*y"
+        )
+        assert code == 0
+        assert out == "generators: (y^6, x^3 + y^3)\n"
+
+    def test_bracket_of_the_zero_ideal(self, capsys):
+        code, out, _ = run_cli(capsys, "bracket", "--p", "3", "--vars", "x,y", "0")
+        assert code == 0
+        assert out == "generators: (0)\n"
+
+    def test_testideal(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "testideal", "--p", "3", "--vars", "x,y", "--m", "5", "--e", "1",
+            "x^2 + y^3",
+        )
+        assert code == 0
+        assert out == "generators: (x*y^3 + x^3, y^4 + x^2*y)\n"
+
+    def test_fpt(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fpt", "--p", "2", "--vars", "x,y", "--max-e", "3", "x^2 + y^3"
+        )
+        assert code == 0
+        assert out == "level: 3\nnu: 3\nbracket: (3/8, 1/2]\n"
 
     def test_nilpotency(self, capsys):
         code, out, _ = run_cli(
@@ -288,6 +318,26 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_negative_iteration_budget(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "minimalize", "--p", "2", "--vars", "x",
+            "--K", "x^6", "--budget-iters", "-5", "x^6",
+        )
+        assert code == 1
+        assert "iteration budget must be an integer >= 0" in err
+
+    def test_negative_spair_budget(self, capsys):
+        # refused although this root's basis is all-monomial and spends none
+        code, record, _ = run_json(
+            capsys,
+            "root", "--p", "2", "--vars", "x,y", "--budget-spairs", "-1",
+            "--json", "x^3*y^2",
+        )
+        assert code == 1
+        assert record["error"]["type"] == "DomainError"
+        assert "S-pair budget" in record["error"]["message"]
+
     def test_parse_error(self, capsys):
         code, _, err = run_cli(
             capsys, "root", "--p", "2", "--vars", "x", "x +* 1"
@@ -309,6 +359,145 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "root", "--p", "4", "--vars", "x", "x")
         assert code == 1
         assert "error" in err
+
+
+class TestRingErrors:
+    # a ring that cannot be built still gives one JSON record, whose ring
+    # echoes the flags
+    @pytest.mark.parametrize(
+        "var_flag,p,message",
+        [("x", "4", "characteristic must be prime"), ("x,x", "2", "duplicate variable")],
+        ids=["bad-prime", "duplicate-variable"],
+    )
+    def test_json_error_record(self, capsys, var_flag, p, message):
+        code, out, err = run_cli(
+            capsys, "root", "--p", p, "--vars", var_flag, "--json", "x"
+        )
+        assert code == 1
+        (line,) = out.splitlines()
+        record = json.loads(line)
+        assert list(record) == ["command", "ring", "input", "error"]
+        assert record["command"] == "root"
+        assert record["ring"] == {
+            "p": int(p), "s": 1, "vars": var_flag.split(","), "order": "grevlex",
+        }
+        assert record["input"] == {"text": "x"}
+        assert record["error"]["type"] == "DomainError"
+        assert message in record["error"]["message"]
+        assert message in err
+
+    def test_batch_error_record(self, capsys, tmp_path):
+        batch = tmp_path / "inputs.txt"
+        batch.write_text("x\nx^2\n")
+        code, out, _ = run_cli(
+            capsys, "fpt", "--p", "4", "--vars", "x", "--order", "lex",
+            "--file", str(batch),
+        )
+        assert code == 1
+        (line,) = out.splitlines()
+        record = json.loads(line)
+        assert list(record) == ["command", "ring", "input", "error"]
+        assert record["ring"] == {"p": 4, "s": 1, "vars": ["x"], "order": "lex"}
+        assert record["input"] == {"file": str(batch)}
+
+    def test_human_mode_writes_stderr_only(self, capsys):
+        code, out, err = run_cli(capsys, "root", "--p", "2", "--vars", "x,x", "x")
+        assert code == 1
+        assert out == ""
+        assert "duplicate variable" in err
+
+
+COMMON_OPTIONS = {
+    "-h", "--help", "--p", "--s", "--vars", "--order",
+    "--json", "--file", "--budget-spairs",
+}
+# a small valid run of every subcommand that sets each of its own options
+SMALL_RUNS = {
+    "root": ["--level", "1", "x^3*y^2"],
+    "bracket": ["--level", "1", "x; y"],
+    "testideal": ["--m", "3", "--e", "1", "x^2 + y^3"],
+    "fpt": ["--max-e", "2", "x^2 + y^3"],
+    "je-chain": ["--max-e", "2", "x^3"],
+    "minimalize": ["--K", "x^6", "--N", "1", "--budget-iters", "8", "x^6"],
+    "nilpotency": ["--K", "x^2", "--N", "1", "--max-e", "4", "x^3"],
+    "verify": ["--level", "1", "x^3*y^2"],
+}
+# read by main for every subcommand, so no handler has to read them
+READ_BY_MAIN = {
+    "command", "input", "p", "s", "vars", "order", "json", "file", "budget_spairs",
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+class TestCommandTable:
+    def test_each_subcommand_has_exactly_its_options(self):
+        own = {
+            "root": {"--level"},
+            "bracket": {"--level"},
+            "testideal": {"--m", "--e"},
+            "fpt": {"--max-e"},
+            "je-chain": {"--max-e"},
+            "minimalize": {"--K", "--N", "--budget-iters"},
+            "nilpotency": {"--K", "--N", "--max-e"},
+            "verify": {"--level"},
+        }
+        subparsers = _subparsers()
+        assert set(subparsers) == set(own) == set(SMALL_RUNS)
+        for name, sp in subparsers.items():
+            flags = {flag for a in sp._actions for flag in a.option_strings}
+            assert flags == COMMON_OPTIONS | own[name], name
+
+    @pytest.mark.parametrize(
+        "command", sorted(set(SMALL_RUNS) - {"minimalize"})
+    )
+    def test_budget_iters_is_a_usage_error_outside_minimalize(self, capsys, command):
+        *options, text = SMALL_RUNS[command]
+        with pytest.raises(SystemExit) as info:
+            main([
+                command, "--p", "2", "--vars", "x,y", *options,
+                "--budget-iters", "3", text,
+            ])
+        assert info.value.code == 3
+
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_every_declared_option_is_read(self, capsys, monkeypatch, command):
+        # a dead knob is an option the parser accepts and no code reads
+        reads: set[str] = set()
+        parsed: list[bool] = []
+
+        class RecordingNamespace(argparse.Namespace):
+            def __getattribute__(self, name):
+                if parsed:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        build = cli.build_parser
+
+        def recording_parser():
+            parser = build()
+            parse = parser.parse_args
+
+            def parse_args(argv=None):
+                args = parse(argv, RecordingNamespace())
+                parsed.append(True)
+                return args
+
+            parser.parse_args = parse_args
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        argv = [command, "--p", "2", "--vars", "x,y", *SMALL_RUNS[command]]
+        assert main(argv) == 0
+        declared = set(vars(build().parse_args(argv))) - READ_BY_MAIN
+        assert declared
+        assert declared <= reads, f"{command} never reads {declared - reads}"
 
 
 class TestBatchMode:

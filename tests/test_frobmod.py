@@ -354,6 +354,15 @@ class TestMinimalize:
         with pytest.raises(ResourceError):
             module.minimalize(iteration_budget=1)
 
+    @pytest.mark.parametrize("budget", [-5, "3", 1.5, None])
+    def test_iteration_budget_must_be_a_nonnegative_integer(self, budget):
+        (x,) = R1.gens
+        module = FrobModule(Ideal(R1, (x**6,)), Ideal(R1, (R1.one,)), x**6)
+        with pytest.raises(DomainError, match="iteration budget"):
+            module.minimalize(iteration_budget=budget)
+        # zero is a budget: it admits modules that are already fixed
+        assert principal(R1, "x").minimalize(iteration_budget=0).fr_iterations == 0
+
     def test_report_counters(self):
         (x,) = R1.gens
         module = FrobModule(Ideal(R1, (x**6,)), Ideal(R1, (R1.one,)), x**6)
@@ -421,6 +430,10 @@ class TestNilEquivalent:
     def test_mismatched_multipliers_rejected(self):
         with pytest.raises(DomainError):
             principal(R1, "x").nil_equivalent(principal(R1, "x^2"))
+
+    def test_non_module_partner_rejected(self):
+        with pytest.raises(DomainError, match="FrobModule"):
+            principal(R1, "x").nil_equivalent(R1("x"))
 
     def test_mismatched_rings_rejected(self):
         with pytest.raises(RingMismatchError):

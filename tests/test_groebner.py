@@ -206,6 +206,15 @@ class TestBuchberger:
         with spair_budget(0), pytest.raises(ResourceError):
             buchberger([x * y + y**2, x**2], R2)
 
+    @pytest.mark.parametrize("cap", [-1, 1.5, "3"])
+    def test_a_cap_that_is_not_a_nonnegative_integer_is_refused(self, cap):
+        x, y = R2.gens
+        # refused where the cap is read: all-monomial bases, which spend
+        # no S-pairs, included
+        for gens in ([x * y + y**2, x**2], [x * y, y**3]):
+            with spair_budget(cap), pytest.raises(DomainError, match="S-pair budget"):
+                buchberger(gens, R2)
+
     def test_budget_holds_only_inside_its_context(self):
         x, y = R2.gens
         gens = [x * y + y**2, x**2]
