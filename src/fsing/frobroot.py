@@ -17,24 +17,33 @@ from .groebner import Ideal
 from .polyring import Exponents, Poly
 
 
-def _root_gens(gens: Iterable[Poly], Q: int) -> list[Poly]:
-    # For each generator, one component polynomial per remainder pattern,
-    # sorted by pattern; a single term has one component, its floor.
+def _root_gens(gens: Iterable[Poly], Q: int) -> tuple[Poly, ...]:
+    # For each nonzero generator, one component polynomial per remainder
+    # pattern, sorted by pattern; a single term has one component, its
+    # floor, which is also that component's leading monomial.  A component
+    # that is a nonzero constant makes the root the unit ideal, so the scan
+    # stops there and returns the constant 1 alone.
     out: list[Poly] = []
     for g in gens:
         ring = g.ring
         terms = g._terms
         if len(terms) == 1:
-            ((m, c),) = terms.items()
-            out.append(Poly(ring, {tuple([b // Q for b in m]): c}))
+            for m, c in terms.items():
+                floor = tuple([b // Q for b in m])
+                if not any(floor):
+                    return (ring.one,)
+                out.append(Poly(ring, {floor: c}, floor))
             continue
         components: dict[Exponents, dict[Exponents, int]] = {}
         for m, c in terms.items():
             rem = tuple([b % Q for b in m])
             floor = tuple([b // Q for b in m])
             components.setdefault(rem, {})[floor] = c
-        out.extend(Poly(ring, part) for _, part in sorted(components.items()))
-    return out
+        for _, part in sorted(components.items()):
+            if len(part) == 1 and not any(next(iter(part))):
+                return (ring.one,)
+            out.append(Poly(ring, part))
+    return tuple(out)
 
 
 def poly_root(g: Poly, e: int) -> Ideal:
@@ -46,11 +55,11 @@ def poly_root(g: Poly, e: int) -> Ideal:
     """
     if not isinstance(e, int) or e < 1:
         raise DomainError(f"root level must be an integer >= 1, got {e!r}")
-    return Ideal(g.ring, _root_gens((g,), g.ring.q**e))
+    return Ideal._of_checked(g.ring, _root_gens((g,), g.ring.q**e))
 
 
 def ideal_root(ideal: Ideal, e: int) -> Ideal:
     """Level-e Frobenius root of an ideal (generator-wise, then combined)."""
     if not isinstance(e, int) or e < 1:
         raise DomainError(f"root level must be an integer >= 1, got {e!r}")
-    return Ideal(ideal.ring, _root_gens(ideal.gens, ideal.ring.q**e))
+    return Ideal._of_checked(ideal.ring, _root_gens(ideal.gens, ideal.ring.q**e))

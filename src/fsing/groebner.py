@@ -298,6 +298,15 @@ class Ideal:
         self.gens: tuple[Poly, ...] = tuple(kept)
         self._gb: tuple[Poly, ...] | None = None
 
+    @classmethod
+    def _of_checked(cls, ring: Ring, gens: tuple[Poly, ...]) -> "Ideal":
+        # generators already known to be nonzero polynomials of ``ring``
+        out = object.__new__(cls)
+        out.ring = ring
+        out.gens = gens
+        out._gb = None
+        return out
+
     # -- canonical basis ------------------------------------------------
 
     def groebner(self) -> tuple[Poly, ...]:
@@ -308,7 +317,7 @@ class Ideal:
 
     def canonical(self) -> "Ideal":
         """The same ideal presented by its reduced basis."""
-        out = Ideal(self.ring, self.groebner())
+        out = Ideal._of_checked(self.ring, self.groebner())
         out._gb = self._gb
         return out
 

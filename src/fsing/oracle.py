@@ -10,6 +10,7 @@ instances; the enumeration guard raises :class:`ResourceError`.
 from __future__ import annotations
 
 from itertools import product
+from operator import le
 
 from .errors import DomainError, ResourceError
 from .groebner import Ideal
@@ -34,7 +35,7 @@ def bracket_membership_oracle(f: Poly, e: int) -> bool:
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _antichains(candidates: list[Exponents], limit: int):

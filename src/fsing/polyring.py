@@ -176,7 +176,7 @@ class Ring:
         if not isinstance(coeff, int):
             raise DomainError(f"coefficients must be integers, got {coeff!r}")
         c = coeff % self.p
-        return Poly(self, {m: c} if c else {})
+        return Poly(self, {m: c}, m) if c else Poly(self, {})
 
     @property
     def gens(self) -> tuple["Poly", ...]:
@@ -243,15 +243,18 @@ class Poly:
 
     The term dict is private to the package and never mutated after
     construction; use :meth:`Ring.poly` or ring parsing to build values.
+    A caller that already knows the leading monomial may pass it as ``lm``.
     """
 
     __slots__ = ("ring", "_terms", "_hash", "_lm", "_reducer")
 
-    def __init__(self, ring: Ring, terms: dict[Exponents, int]):
+    def __init__(
+        self, ring: Ring, terms: dict[Exponents, int], lm: Exponents | None = None
+    ):
         self.ring = ring
         self._terms = terms
         self._hash: int | None = None
-        self._lm: Exponents | None = None
+        self._lm = lm
         self._reducer: Reducer | None = None
 
     # -- basic queries ------------------------------------------------

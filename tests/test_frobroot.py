@@ -65,6 +65,22 @@ class TestIdealRoot:
         x, _ = R2.gens
         assert ideal_root(Ideal(R2, (x**5,)), 2) == Ideal(R2, (x,))
 
+    def test_unit_component_returns_one_alone(self):
+        x, y = R2.gens
+        # at q = 2 the root of y is 1, and so is the component of
+        # x**2 + y whose exponents have remainder pattern (0, 1)
+        for g in (y, x**2 + y):
+            root = ideal_root(Ideal(R2, (x**4, g, y**6)), 1)
+            assert root.gens == (R2.one,)
+            assert root.is_unit()
+
+    def test_monomial_roots_carry_their_leading_monomial(self):
+        x, y = R3.gens
+        root = ideal_root(Ideal(R3, (x**7 * y**3, 2 * x**3 * y**5)), 1)
+        assert [g._lm for g in root.gens] == [(2, 1), (1, 1)]
+        assert [g.leading_monomial() for g in root.gens] == [(2, 1), (1, 1)]
+        assert [g.coeff(g._lm) for g in root.gens] == [1, 2]
+
     def test_generator_independence(self):
         rng = random.Random(67)
         for ring in (R2, R3):
