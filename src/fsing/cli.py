@@ -25,7 +25,7 @@ import sys
 import time
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .errors import FSingError, ParseError, ResourceError
+from .errors import DomainError, FSingError, ParseError, ResourceError
 from .frobmod import FrobModule
 from .frobroot import ideal_root
 from .groebner import MAX_SPAIRS, Ideal
@@ -383,6 +383,15 @@ def _print_error_record(
     print(json.dumps({"command": command, "ring": ring, "input": inp, "error": error}))
 
 
+def _refuse(args: argparse.Namespace, ring: dict[str, Any], err: FSingError) -> int:
+    # a failure before any input runs: the ring or the batch file
+    if args.json or args.file is not None:
+        inp = {"text": args.input} if args.file is None else {"file": args.file}
+        _print_error_record(args.command, ring, inp, err)
+    print(f"fsing: error: {err}", file=sys.stderr)
+    return _classify(err)
+
+
 def _run_one(
     ring: Ring, args: argparse.Namespace, text: str, as_json: bool
 ) -> int:
@@ -419,17 +428,15 @@ def _run_one(
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.file is not None and args.input is not None:
+        parser.error("give either --file or an input, not both")
 
     var_names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+    flags = _ring_payload(args.p, args.s, var_names, args.order)
     try:
         ring = Ring(p=args.p, var_names=var_names, s=args.s, order=args.order)
     except FSingError as err:
-        if args.json or args.file is not None:
-            flags = _ring_payload(args.p, args.s, var_names, args.order)
-            inp = {"text": args.input} if args.file is None else {"file": args.file}
-            _print_error_record(args.command, flags, inp, err)
-        print(f"fsing: error: {err}", file=sys.stderr)
-        return _classify(err)
+        return _refuse(args, flags, err)
 
     budget = MAX_SPAIRS.get() if args.budget_spairs is None else args.budget_spairs
     token = MAX_SPAIRS.set(budget)
@@ -438,9 +445,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             try:
                 with open(args.file, "r", encoding="utf-8") as handle:
                     lines = handle.readlines()
-            except OSError as err:
-                print(f"fsing: error: cannot read {args.file}: {err}", file=sys.stderr)
-                return EXIT_DOMAIN
+            except (OSError, UnicodeDecodeError) as err:
+                return _refuse(args, flags, DomainError(f"cannot read {args.file}: {err}"))
             exit_code = EXIT_OK
             for line in lines:
                 text = line.split("#", 1)[0].strip()

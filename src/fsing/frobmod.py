@@ -22,8 +22,9 @@ from .errors import (
     DomainError,
     InvariantError,
     ResourceError,
-    RingMismatchError,
     ValidationError,
+    check_int,
+    check_member,
 )
 from .frobroot import ideal_root
 from .groebner import Ideal
@@ -35,8 +36,7 @@ _KERNEL_BUDGET = 32  # levels the iterated kernel chain may climb
 
 def iterate_exponent(q: int, e: int) -> int:
     """Multiplier exponent of the e-fold structural map: 1 + q + ... + q**(e-1)."""
-    if not isinstance(e, int) or e < 0:
-        raise DomainError(f"iterate levels are nonnegative integers, got {e!r}")
+    check_int(e, "an iterate level", 0)
     return (q**e - 1) // (q - 1)
 
 
@@ -106,13 +106,12 @@ class FrobModule:
         """Construct after checking the three defining inclusions.
 
         Raises :class:`ValidationError` naming the failing inclusion and a
-        witness generator, or :class:`RingMismatchError` on mixed rings.
+        witness generator, :class:`DomainError` on arguments of the wrong
+        type, or :class:`RingMismatchError` on mixed rings.
         """
-        ring = multiplier.ring
-        if relations.ring != ring or ambient.ring != ring:
-            raise RingMismatchError(
-                "relations, ambient and multiplier must share one ring"
-            )
+        check_member(multiplier, Poly, "the multiplier")
+        check_member(relations, Ideal, "the relations", multiplier.ring)
+        check_member(ambient, Ideal, "the ambient ideal", multiplier.ring)
         for g in relations.gens:
             if not ambient.contains(g):
                 raise ValidationError(
@@ -188,10 +187,7 @@ class FrobModule:
         the relations (never nilpotent) or that e_max steps did not reach
         them (order > e_max, if any).
         """
-        if not isinstance(e_max, int) or e_max < 1:
-            raise DomainError(
-                f"the nilpotency budget must be an integer >= 1, got {e_max!r}"
-            )
+        check_int(e_max, "the nilpotency budget", 1)
         cur = self.ambient
         for e in range(1, e_max + 1):
             nxt = shrink_step(self.relations, self.multiplier, cur)
@@ -287,10 +283,7 @@ class FrobModule:
         comes out with relations equal to ambient (the stabilized kernel
         chain on both sides).  ``iteration_budget`` must be an integer >= 0.
         """
-        if not isinstance(iteration_budget, int) or iteration_budget < 0:
-            raise DomainError(
-                f"the iteration budget must be an integer >= 0, got {iteration_budget!r}"
-            )
+        check_int(iteration_budget, "the iteration budget", 0)
         relations_min, chain_length = self._kernel_chain()
         f = self.multiplier
         cur = (self.ambient + relations_min).canonical()
@@ -337,10 +330,7 @@ class FrobModule:
         Only defined for modules over the same ring with the same
         multiplier; anything else raises.
         """
-        if not isinstance(other, FrobModule):
-            raise DomainError("comparison partner must be a FrobModule")
-        if other.ring != self.ring:
-            raise RingMismatchError("cannot compare modules over different rings")
+        check_member(other, FrobModule, "the comparison partner", self.ring)
         if other.multiplier != self.multiplier:
             raise DomainError(
                 "comparison is supported only for matching multipliers"

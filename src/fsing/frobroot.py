@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import check_int, check_member
 from .groebner import Ideal
 from .polyring import Exponents, Poly
 
@@ -53,13 +53,13 @@ def poly_root(g: Poly, e: int) -> Ideal:
     Only exponent patterns present in g are visited, so the cost is linear
     in the number of terms, never in q**e.
     """
-    if not isinstance(e, int) or e < 1:
-        raise DomainError(f"root level must be an integer >= 1, got {e!r}")
+    check_member(g, Poly, "the polynomial")
+    check_int(e, "the root level", 1)
     return Ideal._of_checked(g.ring, _root_gens((g,), g.ring.q**e))
 
 
 def ideal_root(ideal: Ideal, e: int) -> Ideal:
     """Level-e Frobenius root of an ideal (generator-wise, then combined)."""
-    if not isinstance(e, int) or e < 1:
-        raise DomainError(f"root level must be an integer >= 1, got {e!r}")
+    check_member(ideal, Ideal, "the ideal")
+    check_int(e, "the root level", 1)
     return Ideal._of_checked(ideal.ring, _root_gens(ideal.gens, ideal.ring.q**e))

@@ -34,8 +34,14 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InvariantError, ResourceError, RingMismatchError
-from .polyring import MAX_TOTAL_DEGREE, Exponents, Poly, Ring
+from .errors import (
+    DomainError,
+    InvariantError,
+    ResourceError,
+    check_int,
+    check_member,
+)
+from .polyring import Exponents, Poly, Ring, check_degree
 
 # Cap on S-pairs per basis computation, read once per buchberger call; the
 # CLI's ``--budget-spairs`` sets it for one command.  All-monomial inputs
@@ -49,13 +55,6 @@ def _monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
 
 def _monomial_divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
-
-
-def _degree_guard(degree: int) -> None:
-    if degree > MAX_TOTAL_DEGREE:
-        raise ResourceError(
-            f"a term of degree {degree} would exceed the guard {MAX_TOTAL_DEGREE}"
-        )
 
 
 def poly_division(
@@ -78,8 +77,7 @@ def poly_division(
     p = ring.p
     reducers = []
     for d in divisors:
-        if d.ring != ring:
-            raise RingMismatchError("divisors must share the dividend's ring")
+        check_member(d, Poly, "a divisor", ring)
         if not d:
             raise DomainError("cannot divide by the zero polynomial")
         reducers.append(d.reducer())
@@ -106,7 +104,7 @@ def poly_division(
             rem[m] = c
             continue
         if excess > 0:
-            _degree_guard(sum(m) + excess)
+            check_degree(sum(m) + excess)
         shift = tuple(map(sub, m, lm))
         coef = c * lc_inv % p
         if quots is not None:
@@ -146,9 +144,9 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     lg, _, _, eg, tail_g = g.reducer()
     lcm = _monomial_lcm(lf, lg)
     if tail_f:
-        _degree_guard(sum(lcm) + ef)
+        check_degree(sum(lcm) + ef)
     if tail_g:
-        _degree_guard(sum(lcm) + eg)
+        check_degree(sum(lcm) + eg)
     shift = tuple(map(sub, lcm, lf))
     out = {tuple(map(add, shift, m)): c for m, c, _ in tail_f}
     shift = tuple(map(sub, lcm, lg))
@@ -172,13 +170,11 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     divisibility alone: no pair is formed and no S-pair is spent.
     """
     budget = MAX_SPAIRS.get()
-    if not isinstance(budget, int) or budget < 0:
-        raise DomainError(f"the S-pair budget must be an integer >= 0, got {budget!r}")
+    check_int(budget, "the S-pair budget", 0)
     key = ring.monomial_key()
     gens = list(gens)
     for g in gens:
-        if g.ring != ring:
-            raise RingMismatchError("generators must live in the stated ring")
+        check_member(g, Poly, "a generator", ring)
     if all(len(g) <= 1 for g in gens):
         # A monomial ideal's reduced basis is its minimal generators
         # (Dickson's lemma).  A proper divisor has smaller total degree, so
@@ -287,12 +283,7 @@ class Ideal:
         self.ring = ring
         kept: list[Poly] = []
         for g in gens:
-            if not isinstance(g, Poly):
-                raise DomainError(
-                    f"ideal generators must be polynomials, got {type(g).__name__}"
-                )
-            if g.ring is not ring and g.ring != ring:
-                raise RingMismatchError("generators must share the ideal's ring")
+            check_member(g, Poly, "an ideal generator", ring)
             if g._terms:
                 kept.append(g)
         self.gens: tuple[Poly, ...] = tuple(kept)
@@ -331,8 +322,7 @@ class Ideal:
         return len(gb) == 1 and gb[0].is_constant()
 
     def normal_form(self, f: Poly) -> Poly:
-        if f.ring != self.ring:
-            raise RingMismatchError("element must share the ideal's ring")
+        check_member(f, Poly, "the element", self.ring)
         return normal_form(f, self.groebner())
 
     def contains(self, f: Poly) -> bool:
@@ -342,8 +332,7 @@ class Ideal:
         """Containment: every generator reduces to zero modulo ``other``."""
         if not isinstance(other, Ideal):
             return NotImplemented
-        if other.ring != self.ring:
-            raise RingMismatchError("cannot compare ideals of different rings")
+        check_member(other, Ideal, "the other ideal", self.ring)
         return all(other.contains(g) for g in self.gens)
 
     def __ge__(self, other: "Ideal") -> bool:
@@ -365,14 +354,12 @@ class Ideal:
     def __add__(self, other: "Ideal") -> "Ideal":
         if not isinstance(other, Ideal):
             return NotImplemented
-        if other.ring != self.ring:
-            raise RingMismatchError("cannot add ideals of different rings")
+        check_member(other, Ideal, "the other summand", self.ring)
         return Ideal(self.ring, self.gens + other.gens)
 
     def scale(self, f: Poly) -> "Ideal":
         """The product ideal f * I."""
-        if f.ring != self.ring:
-            raise RingMismatchError("scalar must share the ideal's ring")
+        check_member(f, Poly, "the scalar", self.ring)
         return Ideal(self.ring, tuple(f * g for g in self.gens))
 
     def bracket_power(self, e: int) -> "Ideal":
@@ -383,10 +370,7 @@ class Ideal:
         q**e-power map fixes coefficients, scales exponents, and preserves
         divisibility, the term order, monic-ness and auto-reducedness.
         """
-        if not isinstance(e, int) or e < 0:
-            raise DomainError(
-                f"bracket powers take nonnegative integer levels, got {e!r}"
-            )
+        check_int(e, "a bracket level", 0)
         if e == 0:
             return self
         out = Ideal(self.ring, tuple(g.frobenius_power(e) for g in self.gens))
@@ -396,8 +380,7 @@ class Ideal:
 
     def intersection(self, other: "Ideal") -> "Ideal":
         """Intersection via the auxiliary-variable elimination trick."""
-        if other.ring != self.ring:
-            raise RingMismatchError("cannot intersect ideals of different rings")
+        check_member(other, Ideal, "the other ideal", self.ring)
         if not self.gens or not other.gens:
             return Ideal(self.ring, ())
         ext = _extended_ring(self.ring)
@@ -415,8 +398,7 @@ class Ideal:
 
     def colon(self, f: Poly) -> "Ideal":
         """The quotient (I : f) = {g : g*f in I}; f must be nonzero."""
-        if f.ring != self.ring:
-            raise RingMismatchError("quotient divisor must share the ring")
+        check_member(f, Poly, "the divisor", self.ring)
         if not f:
             raise DomainError("ideal quotient by the zero polynomial")
         inter = self.intersection(Ideal(self.ring, (f,)))

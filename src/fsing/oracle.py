@@ -12,13 +12,14 @@ from __future__ import annotations
 from itertools import product
 from operator import le
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, check_int
 from .groebner import Ideal
 from .polyring import Exponents, Poly
 
 
 def monomial_root_oracle(exponents: Exponents, q: int, e: int) -> Exponents:
     """Level-e root of a single monomial: componentwise floor by q**e."""
+    check_int(e, "the root level", 1)
     Q = q**e
     return tuple([b // Q for b in exponents])
 
@@ -30,6 +31,7 @@ def bracket_membership_oracle(f: Poly, e: int) -> bool:
     asks every term to be divisible by some x_i**Q; no basis computation.
     The zero polynomial is a member.
     """
+    check_int(e, "the bracket level", 0)
     Q = f.ring.q**e
     return all(any(b >= Q for b in m) for m in f._terms)
 
@@ -80,8 +82,7 @@ def smallest_ideal_bruteforce(
     enumeration guard and :class:`DomainError` if no admissible ideal or
     no unique smallest one exists within the cap.
     """
-    if e < 1:
-        raise DomainError(f"root level must be >= 1, got {e}")
+    check_int(e, "the root level", 1)
     ring = g.ring
     if not g:
         return Ideal(ring, ())

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, check_int, check_member
 from .frobmod import FrobModule, iterate_exponent, shrink_step
 from .frobroot import poly_root
 from .groebner import Ideal
@@ -75,10 +75,9 @@ def test_ideal(f: Poly, m: int, e: int) -> Ideal:
     docstring), so f**m is never expanded.  m == 0 yields the unit ideal;
     the level e must be >= 1.
     """
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"test ideal exponents are nonnegative integers, got m={m!r}")
-    if not isinstance(e, int) or e < 1:
-        raise DomainError(f"test ideal levels must be integers >= 1, got {e!r}")
+    check_member(f, Poly, "the polynomial")
+    check_int(m, "the test ideal exponent", 0)
+    check_int(e, "the test ideal level", 1)
     q = f.ring.q
     digits: list[int] = []
     rest = m
@@ -117,8 +116,7 @@ def je_chain(f: Poly, e_max: int) -> list[ChainLevel]:
     single multiply-and-root step e times from the unit ideal.  The
     ``equal`` flags record the comparison instead of assuming it.
     """
-    if not isinstance(e_max, int) or e_max < 1:
-        raise DomainError(f"chain length must be an integer >= 1, got {e_max!r}")
+    check_int(e_max, "the chain length", 1)
     ring = f.ring
     q = ring.q
     zero = Ideal(ring, ())
@@ -148,8 +146,8 @@ def nu(f: Poly, e: int) -> int:
     which never change, so the part past each ideal it meets is computed
     once per call: the cost is linear in e when the descents meet.
     """
-    if not isinstance(e, int) or e < 1:
-        raise DomainError(f"threshold levels must be integers >= 1, got {e!r}")
+    check_member(f, Poly, "the polynomial")
+    check_int(e, "the threshold level", 1)
     if not f:
         raise DomainError("nu is undefined for the zero polynomial")
     if f.constant_term() != 0:
@@ -237,8 +235,7 @@ def minimality_vs_fpt(f: Poly, e_max: int = 6) -> MinimalityFptReport:
     """
     if not f:
         raise DomainError("the cross-check requires a nonzero multiplier")
-    if not isinstance(e_max, int) or e_max < 1:
-        raise DomainError(f"bracket levels must be integers >= 1, got {e_max!r}")
+    check_int(e_max, "the bracket level", 1)
     q = f.ring.q
     module = FrobModule.principal(f)
     minimal = module.is_minimal()

@@ -296,6 +296,22 @@ class TestExitCodes:
         not hasattr(sys, "set_int_max_str_digits"),
         reason="the interpreter has no limit on integer string conversion",
     )
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "human"])
+    def test_bracket_level_above_the_degree_guard(self, capsys, as_json):
+        # the degree 2^20000 has more digits than Python converts to text
+        flags = ["--json"] if as_json else []
+        code, out, err = run_cli(
+            capsys, "bracket", "--p", "2", "--vars", "x", "--level", "20000", *flags, "x"
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        if as_json:
+            (line,) = out.splitlines()
+            assert json.loads(line)["error"]["type"] == "ResourceError"
+        else:
+            assert out == ""
+            assert "degree guard" in err
+
     def test_fpt_refuses_a_level_whose_numbers_cannot_be_printed(self, capsys):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
@@ -576,6 +592,37 @@ class TestBatchMode:
         )
         assert code == 1
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfex\n"], ids=["missing", "not-utf8"]
+    )
+    def test_unreadable_file_gives_one_record(self, capsys, tmp_path, content):
+        path = tmp_path / "inputs.txt"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run_cli(
+            capsys, "root", "--p", "2", "--vars", "x", "--file", str(path),
+        )
+        assert code == 1
+        (line,) = out.splitlines()
+        record = json.loads(line)
+        assert list(record) == ["command", "ring", "input", "error"]
+        assert record["command"] == "root"
+        assert record["ring"] == {"p": 2, "s": 1, "vars": ["x"], "order": "grevlex"}
+        assert record["input"] == {"file": str(path)}
+        assert record["error"]["type"] == "DomainError"
+        assert err == f"fsing: error: {record['error']['message']}\n"
+        assert err.startswith(f"fsing: error: cannot read {path}: ")
+
+    def test_input_next_to_file_is_a_usage_error(self, capsys, tmp_path):
+        batch = tmp_path / "inputs.txt"
+        batch.write_text("x\n")
+        with pytest.raises(SystemExit) as info:
+            main(["root", "--p", "2", "--vars", "x", "--file", str(batch), "y"])
+        assert info.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "either --file or an input" in captured.err
 
 
 class TestInvariantFailure:
