@@ -14,11 +14,17 @@ Each subcommand is declared once, in ``_COMMANDS``: its help, its own
 options and a handler that returns the JSON payload next to the human
 lines.  Every subcommand takes the ring flags, ``--json``, ``--file`` and
 ``--budget-spairs``; ``--budget-iters`` belongs to ``minimalize`` alone.
+
+The parser is built once per process, on the first call, so a program that
+calls :func:`main` repeatedly pays for it once.  Parsing only reads it:
+each call fills a fresh namespace, and every default is an immutable
+str, int, bool or None.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -323,7 +329,9 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The one parser, built on first use; callers must not modify it."""
     common = _ArgumentParser(add_help=False)
     ring_group = common.add_argument_group("ring")
     ring_group.add_argument("--p", type=int, required=True, help="prime characteristic")

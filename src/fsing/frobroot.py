@@ -14,18 +14,20 @@ from typing import Iterable
 
 from .errors import check_int, check_member
 from .groebner import Ideal
-from .polyring import Exponents, Poly
+from .polyring import FROBENIUS_LEVEL_CAP, Exponents, Poly, Ring
 
 
-def _root_gens(gens: Iterable[Poly], Q: int) -> tuple[Poly, ...]:
+def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
     # For each nonzero generator, one component polynomial per remainder
     # pattern, sorted by pattern; a single term has one component, its
     # floor, which is also that component's leading monomial.  A component
     # that is a nonzero constant makes the root the unit ideal, so the scan
-    # stops there and returns the constant 1 alone.
+    # stops there and returns the constant 1 alone.  No exponent exceeds
+    # MAX_TOTAL_DEGREE < q**FROBENIUS_LEVEL_CAP, so capping the level
+    # changes no floor or remainder, and a huge q**e is never formed.
+    Q = ring.q ** min(e, FROBENIUS_LEVEL_CAP)
     out: list[Poly] = []
     for g in gens:
-        ring = g.ring
         terms = g._terms
         if len(terms) == 1:
             for m, c in terms.items():
@@ -55,11 +57,11 @@ def poly_root(g: Poly, e: int) -> Ideal:
     """
     check_member(g, Poly, "the polynomial")
     check_int(e, "the root level", 1)
-    return Ideal._of_checked(g.ring, _root_gens((g,), g.ring.q**e))
+    return Ideal._of_checked(g.ring, _root_gens(g.ring, (g,), e))
 
 
 def ideal_root(ideal: Ideal, e: int) -> Ideal:
     """Level-e Frobenius root of an ideal (generator-wise, then combined)."""
     check_member(ideal, Ideal, "the ideal")
     check_int(e, "the root level", 1)
-    return Ideal._of_checked(ideal.ring, _root_gens(ideal.gens, ideal.ring.q**e))
+    return Ideal._of_checked(ideal.ring, _root_gens(ideal.ring, ideal.gens, e))

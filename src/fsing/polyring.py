@@ -29,6 +29,8 @@ Reducer = tuple[Exponents, int, int, int, tuple[tuple[Exponents, int, int], ...]
 # Guard against runaway exponent growth: any operation whose result would
 # exceed this total degree raises ResourceError instead of computing it.
 MAX_TOTAL_DEGREE = 10**6
+# The least level e at which q**e exceeds the guard for every q >= 2.
+FROBENIUS_LEVEL_CAP = MAX_TOTAL_DEGREE.bit_length()
 
 
 def check_degree(degree: int) -> None:
@@ -443,10 +445,15 @@ class Poly:
         power f**(q**e) but costs one pass over the terms.
         """
         check_int(e, "a Frobenius level", 0)
-        if e == 0 or not self._terms:
+        if e == 0:
             return self
-        Q = self.ring.q**e
-        check_degree(self.total_degree() * Q)
+        degree = self.total_degree()
+        if degree <= 0:  # zero and the constants are fixed
+            return self
+        # q >= 2 and 2**FROBENIUS_LEVEL_CAP > MAX_TOTAL_DEGREE, so the capped
+        # power passes the guard only when it equals q**e
+        Q = self.ring.q ** min(e, FROBENIUS_LEVEL_CAP)
+        check_degree(degree * Q)
         return Poly(self.ring, {tuple(b * Q for b in m): c for m, c in self._terms.items()})
 
     # -- rendering ------------------------------------------------------

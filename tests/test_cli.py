@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import argparse
 import importlib.metadata
+import io
 import json
+import os
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
+import textwrap
+import threading
 
 import pytest
 
@@ -312,6 +318,20 @@ class TestExitCodes:
             assert out == ""
             assert "degree guard" in err
 
+    def test_a_huge_bracket_level_is_refused_at_once(self, capsys):
+        # 3^100000000 is never formed: the level is capped before the guard
+        code, out, err = run_cli(
+            capsys, "bracket", "--p", "3", "--vars", "x", "--level", "100000000",
+            "--json", "x",
+        )
+        assert code == 2
+        (line,) = out.splitlines()
+        record = json.loads(line)
+        assert list(record) == ["command", "ring", "input", "error"]
+        assert record["input"] == {"text": "x"}
+        assert record["error"]["type"] == "ResourceError"
+        assert "degree guard" in err
+
     def test_fpt_refuses_a_level_whose_numbers_cannot_be_printed(self, capsys):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
@@ -494,26 +514,190 @@ class TestCommandTable:
                     reads.add(name)
                 return super().__getattribute__(name)
 
-        build = cli.build_parser
-
-        def recording_parser():
-            parser = build()
-            parse = parser.parse_args
-
-            def parse_args(argv=None):
-                args = parse(argv, RecordingNamespace())
-                parsed.append(True)
-                return args
-
-            parser.parse_args = parse_args
-            return parser
-
-        monkeypatch.setattr(cli, "build_parser", recording_parser)
         argv = [command, "--p", "2", "--vars", "x,y", *SMALL_RUNS[command]]
-        assert main(argv) == 0
-        declared = set(vars(build().parse_args(argv))) - READ_BY_MAIN
+        declared = set(vars(build_parser().parse_args(argv))) - READ_BY_MAIN
         assert declared
+        parse = cli._ArgumentParser.parse_args
+
+        def parse_args(self, args=None, namespace=None):
+            parsed_args = parse(self, args, RecordingNamespace())
+            parsed.append(True)
+            return parsed_args
+
+        # patched on the class and undone after the test: the parser object
+        # is shared by every main call in the process
+        monkeypatch.setattr(cli._ArgumentParser, "parse_args", parse_args)
+        assert main(argv) == 0
         assert declared <= reads, f"{command} never reads {declared - reads}"
+
+
+def _fingerprint() -> str:
+    # every field parse_args reads, for the parser and each subparser, as
+    # text, so that a later in-place change cannot alter the snapshot too
+    parsers = {"fsing": build_parser(), **_subparsers()}
+    return repr({
+        name: [
+            (
+                a.option_strings, a.dest, a.default, a.type, a.required,
+                None if a.choices is None else list(a.choices), a.nargs,
+            )
+            for a in sp._actions
+        ]
+        for name, sp in parsers.items()
+    })
+
+
+class _PerThreadStream(io.TextIOBase):
+    """A stdout/stderr stand-in that keeps each thread's text apart."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def write(self, text):
+        return self.own().write(text)
+
+    def own(self) -> io.StringIO:
+        if not hasattr(self._local, "text"):
+            self._local.text = io.StringIO()
+        return self._local.text
+
+    def take(self) -> str:
+        """The calling thread's text so far, which is then cleared."""
+        text = self.own().getvalue()
+        self._local.text = io.StringIO()
+        return text
+
+
+_TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
+# a non-monomial system whose basis needs an S-pair: exit 2 under a cap of 0
+NEEDS_SPAIRS = ["root", "--p", "2", "--vars", "x,y", "--json", "x^2*y^2 + y^4; x^4"]
+
+
+class TestSharedParser:
+    """main builds the parser once per process, and parsing never changes it."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_every_default_is_immutable(self):
+        parsers = [build_parser(), *_subparsers().values()]
+        for sp in parsers:
+            for action in sp._actions:
+                assert action.default is None or type(action.default) in (
+                    str, int, bool,
+                ), (sp.prog, action.dest)
+
+    def test_main_leaves_the_parser_as_built(self, capsys, tmp_path):
+        parser = build_parser()
+        before = _fingerprint()
+        batch = tmp_path / "inputs.txt"
+        batch.write_text("x\n")
+        for command, options in SMALL_RUNS.items():
+            for flags in ([], ["--json"]):
+                argv = [command, "--p", "2", "--vars", "x,y", *flags, *options]
+                assert main(argv) == 0, argv
+        usage_errors = [
+            ["root", "--vars", "x", "x"],  # missing --p
+            ["root", "--p", "2", "--vars", "x", "--frobnicate", "x"],
+            ["root", "--p", "2", "--vars", "x", "--budget-iters", "3", "x"],
+            ["root", "--p", "2", "--vars", "x", "--file", str(batch), "x"],
+            ["root", "--p", "2", "--vars", "x"],  # missing input
+        ]
+        for argv in usage_errors:
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 3, argv
+        for argv in (["--help"], ["root", "--help"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0, argv
+        capsys.readouterr()
+        assert build_parser() is parser
+        assert _fingerprint() == before
+
+    def test_concurrent_calls_with_different_spair_caps(self, monkeypatch):
+        stdout, stderr = _PerThreadStream(), _PerThreadStream()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+
+        def run(argv):
+            code = main(argv)
+            return code, _TIMING.sub('"timing_ms": 0', stdout.take()), stderr.take()
+
+        capped = [*NEEDS_SPAIRS[:-1], "--budget-spairs", "0", NEEDS_SPAIRS[-1]]
+        serial = {"capped": run(capped), "free": run(NEEDS_SPAIRS)}
+        code, out, _ = serial["capped"]
+        assert code == 2
+        assert [json.loads(line)["error"]["type"] for line in out.splitlines()] == [
+            "ResourceError"
+        ]
+        code, out, _ = serial["free"]
+        assert code == 0
+        assert "result" in json.loads(out)
+
+        rounds = 30
+        barrier = threading.Barrier(4)
+        seen: dict[str, list] = {"capped": [], "free": []}
+
+        def worker(name, argv):
+            barrier.wait(timeout=60)
+            seen[name].extend(run(argv) for _ in range(rounds))
+
+        threads = [
+            threading.Thread(target=worker, args=(name, argv))
+            for name, argv in [
+                ("capped", capped), ("free", NEEDS_SPAIRS),
+                ("capped", capped), ("free", NEEDS_SPAIRS),
+            ]
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside parse_args too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for name, outcomes in seen.items():
+            assert len(outcomes) == 2 * rounds
+            assert all(outcome == serial[name] for outcome in outcomes), name
+
+    def test_importing_the_cli_builds_no_parser(self):
+        # the parser is built on the first main call, not at import, and
+        # later calls build none
+        script = textwrap.dedent(
+            """
+            import argparse, contextlib, io
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting_init(self, *args, **kwargs):
+                built.append(1)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting_init
+            import fsing.cli
+            counts = [len(built)]
+            for _ in range(3):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    fsing.cli.main(["root", "--p", "2", "--vars", "x", "--json", "x^2"])
+                counts.append(len(built))
+            print(counts)
+            """
+        )
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the shared options, the top parser and one parser per subcommand
+        first = 2 + len(SMALL_RUNS)
+        assert proc.stdout.strip() == str([0, first, first, first])
 
 
 class TestBatchMode:

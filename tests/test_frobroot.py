@@ -8,6 +8,7 @@ import pytest
 
 from fsing import DomainError, Ideal, Ring, ideal_root, poly_root
 from fsing.oracle import monomial_root_oracle
+from fsing.polyring import FROBENIUS_LEVEL_CAP
 
 from conftest import rand_ideal, rand_poly
 
@@ -58,6 +59,17 @@ class TestPolyRoot:
     def test_unit_when_constant_term_present(self):
         x, _ = R2.gens
         assert poly_root(x + 1, 1).is_unit()
+
+    def test_a_huge_level_gives_the_root_at_the_cap(self):
+        # every floor is 0 once q**e passes the degree guard, so the level
+        # is capped before q**e is formed; 3**(10**12) is never computed
+        x, y = R3.gens
+        g = x**5 * y + 2 * y**7
+        assert poly_root(g, 10**12).gens == (R3.one,)
+        assert poly_root(R3.zero, 10**12) == Ideal(R3, ())
+        ideal = Ideal(R3, (x**4, x * y**2))
+        unit = Ideal(R3, (R3.one,))
+        assert ideal_root(ideal, 10**12) == ideal_root(ideal, FROBENIUS_LEVEL_CAP) == unit
 
 
 class TestIdealRoot:

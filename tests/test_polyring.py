@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsing.polyring as polyring
-from fsing import DomainError, ParseError, Poly, ResourceError, Ring, RingMismatchError
+from fsing import (
+    DomainError,
+    Ideal,
+    ParseError,
+    Poly,
+    ResourceError,
+    Ring,
+    RingMismatchError,
+)
 
 R2 = Ring(p=2, var_names=("x", "y"))
 R3 = Ring(p=3, var_names=("x",))
@@ -181,6 +189,31 @@ class TestFrobenius:
         ring = Ring(p=2, var_names=("x",), s=2)
         (x,) = ring.gens
         assert (x + 1).frobenius_power(1) == x**4 + 1
+
+    def test_a_huge_level_is_refused_without_forming_q_to_the_e(self):
+        # q**(10**12) has about 4.8 * 10**11 digits; only the capped
+        # power is formed, so the refusal is immediate
+        (x,) = R3.gens
+        with pytest.raises(ResourceError, match="degree guard"):
+            (x + 1).frobenius_power(10**12)
+        ideal = Ideal(R3, (x**2 + x, x**3))
+        assert ideal.groebner()  # the cached basis is bracketed too
+        with pytest.raises(ResourceError, match="degree guard"):
+            ideal.bracket_power(10**12)
+
+    def test_the_last_level_inside_the_guard(self):
+        ring = Ring(p=2, var_names=("x",))
+        (x,) = ring.gens
+        assert polyring.FROBENIUS_LEVEL_CAP == 20
+        assert x.frobenius_power(19) == ring.monomial((2**19,))
+        with pytest.raises(ResourceError):
+            x.frobenius_power(20)
+
+    @pytest.mark.parametrize("c", [0, 1, 2])
+    def test_a_constant_at_a_huge_level_is_itself(self, c):
+        f = R3.constant(c)
+        assert f.frobenius_power(10**12) == f
+        assert Ideal(R3, (f,)).bracket_power(10**12) == Ideal(R3, (f,))
 
     @pytest.mark.parametrize("ring", [R2, R3, R5])
     def test_equals_repeated_multiplication(self, ring):
