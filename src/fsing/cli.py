@@ -199,6 +199,11 @@ def _cmd_verify(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
         checks.append({"name": name, "status": status})
 
     root = ideal_root(ideal, level)
+    # refuses a level whose q^e passes the degree guard before any check
+    # below runs a root per level or forms q^e
+    max_ideal_bracket = Ideal(
+        ring, tuple(g.frobenius_power(level) for g in ring.gens)
+    )
 
     # the root must be big enough: I <= root^[q^e]
     bracket = root.bracket_power(level)
@@ -207,7 +212,12 @@ def _cmd_verify(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
     if level >= 2:
         iterated = ideal
         for _ in range(level):
-            iterated = ideal_root(iterated, 1)
+            nxt = ideal_root(iterated, 1)
+            # a root that returns its input's generators is a fixed point,
+            # so every later root returns them too
+            if nxt.gens == iterated.gens:
+                break
+            iterated = nxt
         record("iterated-root-agreement", iterated == root)
     else:
         record("iterated-root-agreement", None)
@@ -221,9 +231,6 @@ def _cmd_verify(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
     else:
         record("monomial-floor-oracle", None)
 
-    max_ideal_bracket = Ideal(
-        ring, tuple(g.frobenius_power(level) for g in ring.gens)
-    )
     agree = all(
         bracket_membership_oracle(g, level) == max_ideal_bracket.contains(g)
         for g in ideal.gens

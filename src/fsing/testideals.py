@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, check_int, check_member
-from .frobmod import FrobModule, iterate_exponent, shrink_step
+from .frobmod import FrobModule, shrink_step
 from .frobroot import poly_root
 from .groebner import Ideal
 from .polyring import Poly
@@ -112,19 +112,21 @@ def je_chain(f: Poly, e_max: int) -> list[ChainLevel]:
     ``direct`` is the level-e test ideal at exponent
     (1 + q + ... + q**(e-1))/q**e, taken as the one-shot root of the
     expanded power rather than by the descent of :func:`test_ideal`, so
-    that the two columns are independent routes; ``iterated`` applies the
-    single multiply-and-root step e times from the unit ideal.  The
-    ``equal`` flags record the comparison instead of assuming it.
+    that the two columns are independent routes; the power grows by one
+    Frobenius twist of f per level.  ``iterated`` applies the single
+    multiply-and-root step e times from the unit ideal.  The ``equal``
+    flags record the comparison instead of assuming it.
     """
     check_int(e_max, "the chain length", 1)
     ring = f.ring
-    q = ring.q
     zero = Ideal(ring, ())
     levels: list[ChainLevel] = []
     iterated = Ideal(ring, (ring.one,))
+    power = ring.one  # f**(1 + q + ... + q**(e-1)) at level e
     for e in range(1, e_max + 1):
         iterated = shrink_step(zero, f, iterated)
-        direct = poly_root(f ** iterate_exponent(q, e), e).canonical()
+        power = power * f.frobenius_power(e - 1)
+        direct = poly_root(power, e).canonical()
         levels.append(
             ChainLevel(level=e, direct=direct, iterated=iterated, equal=direct == iterated)
         )

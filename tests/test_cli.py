@@ -897,6 +897,53 @@ class TestVerify:
         assert "root-bracket-containment: passed" in out
         assert "all passed: True" in out
 
+    @staticmethod
+    def _count_roots(monkeypatch) -> list[int]:
+        calls = []
+        real = cli.ideal_root
+
+        def counted(ideal, e):
+            calls.append(e)
+            return real(ideal, e)
+
+        monkeypatch.setattr(cli, "ideal_root", counted)
+        return calls
+
+    def test_a_huge_level_is_refused_before_the_iterated_roots(
+        self, capsys, monkeypatch
+    ):
+        # the maximal ideal's bracket refuses q**e before the iterated
+        # check would take 10**8 level-1 roots
+        calls = self._count_roots(monkeypatch)
+        code, record, err = run_json(
+            capsys,
+            "verify", "--p", "3", "--vars", "x", "--level", "100000000",
+            "--json", "x",
+        )
+        assert code == 2
+        assert record["error"] == {
+            "type": "ResourceError",
+            "message": "a result would exceed the degree guard 1000000",
+        }
+        assert "degree guard" in err
+        assert calls == [100000000]
+
+    def test_iterated_roots_stop_at_a_fixed_point(self, capsys, monkeypatch):
+        # q**19 = 524288 passes the degree guard; the root chain of x^5*y^3
+        # reaches (1) at the third level-1 root and the fourth changes
+        # nothing, so 19 levels cost five roots
+        calls = self._count_roots(monkeypatch)
+        code, record, _ = run_json(
+            capsys,
+            "verify", "--p", "2", "--vars", "x,y", "--level", "19",
+            "--json", "x^5*y^3",
+        )
+        assert code == 0
+        status = {c["name"]: c["status"] for c in record["result"]["checks"]}
+        assert status["iterated-root-agreement"] == "passed"
+        assert record["result"]["all_passed"] is True
+        assert calls == [19, 1, 1, 1, 1]
+
 
 def _installed_distribution():
     try:

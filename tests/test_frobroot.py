@@ -7,6 +7,7 @@ import random
 import pytest
 
 from fsing import DomainError, Ideal, Ring, ideal_root, poly_root
+from fsing.frobroot import _COLUMNAR_TERMS, _root_gens
 from fsing.oracle import monomial_root_oracle
 from fsing.polyring import FROBENIUS_LEVEL_CAP
 
@@ -169,3 +170,115 @@ class TestMonomialOracle:
                     monomial_root_oracle(exps, ring.q, e)
                 )
                 assert poly_root(ring.monomial(exps), e) == Ideal(ring, (expected,))
+
+
+def _plain_split(gens: list[dict], Q: int) -> list[dict] | None:
+    """The components of every generator, as plain dicts; None for (1).
+
+    Each generator is an exponent -> coefficient dict.  Terms are grouped
+    by remainder pattern mod Q; the components come in pattern order, and
+    a component that is a nonzero constant makes the root the unit ideal.
+    """
+    out = []
+    unit = False
+    for terms in gens:
+        components: dict[tuple, dict] = {}
+        for m, c in terms.items():
+            rem = tuple(b % Q for b in m)
+            components.setdefault(rem, {})[tuple(b // Q for b in m)] = c
+        for rem in sorted(components):
+            part = components[rem]
+            unit = unit or (len(part) == 1 and not any(next(iter(part))))
+            out.append(part)
+    return None if unit else out
+
+
+class TestLongGenerators:
+    """The columnar split against a plain-dict split of the same terms."""
+
+    CUBIC = "x^3 + y^3 + z^3 + x*y*z"
+
+    @staticmethod
+    def _check(ring, gens, e):
+        got = _root_gens(ring, gens, e)
+        want = _plain_split([dict(g._terms) for g in gens], ring.q**e)
+        if want is None:
+            assert got == (ring.one,)
+        else:
+            assert [g._terms for g in got] == want
+        if all(len(g) >= _COLUMNAR_TERMS for g in gens):
+            for g in got:
+                if len(g) == 1 and g != ring.one:
+                    assert g._lm == next(iter(g._terms))
+        return want is None
+
+    def _cases(self):
+        for p in (2, 3):
+            ring = Ring(p=p, var_names=("x", "y", "z"))
+            for k in range(2, 6):
+                yield ring, [ring(self.CUBIC) ** (2**k - 1)], (1, 2, 3)
+        s2 = Ring(p=2, var_names=("x", "y"), s=2)
+        yield s2, [s2("x^7*y + x*y^6 + x^5 + y^3 + x^2*y^2") ** 3], (1, 2)
+        lex = Ring(p=5, var_names=("x", "y", "z"), order="lex")
+        yield lex, [lex(self.CUBIC) ** 7, lex("x^2*y + y^3*z + z^4") ** 4], (1, 2)
+        rng = random.Random(97)
+        for p in (2, 3, 5):
+            ring = Ring(p=p, var_names=("x", "y", "z"))
+            for e in (1, 2):
+                Q = ring.q**e
+                for _ in range(8):
+                    # exponents up to 3Q fall on few remainder patterns, and
+                    # x's is at least Q, so no floor is 0
+                    gens = []
+                    for _ in range(rng.randint(1, 3)):
+                        terms = {}
+                        for _ in range(rng.randint(_COLUMNAR_TERMS, 60)):
+                            m = [rng.randint(0, 3 * Q) for _ in range(3)]
+                            m[0] = max(m[0], Q)
+                            terms[tuple(m)] = rng.randrange(1, p)
+                        gens.append(ring.poly(terms))
+                    yield ring, gens, (e,)
+
+    def test_matches_a_plain_dict_split(self):
+        long = units = proper = collided = 0
+        for ring, gens, levels in self._cases():
+            long += sum(len(g) >= _COLUMNAR_TERMS for g in gens)
+            for e in levels:
+                if self._check(ring, gens, e):
+                    units += 1
+                else:
+                    proper += 1
+                    Q = ring.q**e
+                    collided += any(
+                        len({tuple(b % Q for b in m) for m in g._terms}) < len(g)
+                        for g in gens
+                    )
+        assert long >= 80 and units >= 10 and proper >= 50 and collided >= 20
+
+    def test_a_unit_component_placed_last_returns_one_alone(self):
+        ring = Ring(p=3, var_names=("x", "y", "z"))
+        # one term per remainder pattern mod 3; x^2*y^2*z^2 has the largest
+        # pattern (2, 2, 2) and the only floor 0
+        unit = ring("x^2*y^2*z^2")
+        rest = ring(
+            "x^3 + x^4 + x^5 + y^4 + y^5 + z^4 + z^5 + x^4*y^4 + x^5*y^5*z^3"
+        )
+        distinct = rest + unit
+        colliding = distinct + ring("x^6 + y^7 + x^3*y^3*z^5")
+        for g in (distinct, colliding):
+            assert len(g) - 1 >= _COLUMNAR_TERMS
+            patterns = {tuple(b % 3 for b in m) for m in g._terms}
+            assert (len(patterns) == len(g)) == (g == distinct)
+            assert self._check(ring, [g], 1) is True
+            assert self._check(ring, [g - unit], 1) is False
+            assert _root_gens(ring, (g - unit, g), 1) == (ring.one,)
+            assert ideal_root(Ideal(ring, (g - unit, g)), 1).gens == (ring.one,)
+
+    def test_a_constant_inside_a_larger_component_is_no_unit(self):
+        # x and x^3 share the pattern (1, 0, 0): the component 1 + x has
+        # floor 0 in one term but is no constant
+        ring = Ring(p=2, var_names=("x", "y", "z"))
+        g = ring("x + x^3 + y^2*z^2 + x^2*y^4 + z^6 + x^4*y^2*z^2 + y^3*z^2 + x^2*y*z^5")
+        assert len(g) >= _COLUMNAR_TERMS
+        assert self._check(ring, [g], 1) is False
+        assert ring("1 + x") in _root_gens(ring, (g,), 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from fsing import (
     Ideal,
     Ring,
     fpt_bracket,
+    iterate_exponent,
     je_chain,
     minimality_vs_fpt,
     nu,
@@ -24,6 +27,7 @@ from fsing.oracle import bracket_membership_oracle
 
 from conftest import rand_poly
 
+BENCH_DATA = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data"
 R1 = Ring(p=2, var_names=("x",))
 R2 = Ring(p=2, var_names=("x", "y"))
 R3 = Ring(p=3, var_names=("x",))
@@ -144,6 +148,33 @@ class TestJeChain:
             f = rand_poly(rng, ring, 3, 4)
             for level in je_chain(f, 3):
                 assert level.equal
+
+    def test_grown_power_matches_the_expanded_power(self, monkeypatch):
+        # the direct column multiplies in one Frobenius twist of f per
+        # level; on the benchmark's fthreshold polynomials, its power and
+        # its reduced bases match f**(1 + q + ... + q**(e-1)) and its root
+        pool = json.loads((BENCH_DATA / "fthreshold.json").read_text())
+        cases = sorted({(s["p"], tuple(s["vars"]), s["f"]) for s in pool["slots"]})
+        assert len(cases) >= 15
+        powers: list = []
+        real = testideals.poly_root
+
+        def spy(g, e):
+            powers.append(g)
+            return real(g, e)
+
+        monkeypatch.setattr(testideals, "poly_root", spy)
+        for p, names, text in cases:
+            ring = Ring(p=p, var_names=names)
+            f = ring(text)
+            powers.clear()
+            levels = je_chain(f, 6)
+            assert len(powers) == 6
+            for level, power in zip(levels, powers):
+                e = level.level
+                expanded = f ** iterate_exponent(ring.q, e)
+                assert power._terms == expanded._terms, (text, p, e)
+                assert level.direct.groebner() == real(expanded, e).groebner()
 
     def test_bad_length(self):
         with pytest.raises(DomainError):
