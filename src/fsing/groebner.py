@@ -19,6 +19,15 @@ raises :class:`ResourceError`.  Every ideal exposes its reduced basis,
 which is unique for a fixed monomial order, so ideal equality,
 membership, intersection and quotients are all exact decisions.
 
+Intersections and quotients have one general route, the auxiliary-variable
+elimination (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+ch. 4).  Exact shortcuts come first and never compute a basis of their own:
+monomial ideals meet in the lcms of their generators, (m_i) ∩ (n_j) =
+(lcm(m_i, n_j)), and divide by a monomial termwise, (m_i) : n =
+(m_i / gcd(m_i, n)); an ideal inside one whose reduced basis is cached is
+the intersection; and (I : f) is (1) when f lies in I and I's basis is
+cached.
+
 The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis
 computation; exceeding it raises :class:`ResourceError` with the partial
 basis.  All-monomial bases spend no S-pairs, so no cap refuses them; a
@@ -124,10 +133,12 @@ def poly_division(
                     work[nk] = v
                 else:
                     del work[nk]
-    remainder = Poly(ring, rem)
+    # terms leave the heap in decreasing order, so the first term each dict
+    # received is its leading monomial
+    remainder = Poly(ring, rem, next(iter(rem), None))
     if quots is None:
         return [], remainder
-    return [Poly(ring, qd) for qd in quots], remainder
+    return [Poly(ring, qd, next(iter(qd), None)) for qd in quots], remainder
 
 
 def normal_form(f: Poly, divisors: Sequence[Poly]) -> Poly:
@@ -186,7 +197,7 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
             if not any(_monomial_divides(k, m) for k in minimal):
                 minimal.append(m)
         minimal.sort(key=key, reverse=True)
-        return tuple(Poly(ring, {m: 1}) for m in minimal)
+        return tuple(Poly(ring, {m: 1}, m) for m in minimal)
 
     polys: list[Poly] = []       # all monic polynomials ever admitted
     lms: list[Exponents] = []    # their leading monomials
@@ -378,32 +389,74 @@ class Ideal:
             out._gb = tuple(g.frobenius_power(e) for g in self._gb)
         return out
 
+    def _monomials(self) -> list[Exponents] | None:
+        # The exponent tuples of a single-term presentation (the cached
+        # basis when there is one, else the generators); None when some
+        # element has two or more terms.
+        gens = self.gens if self._gb is None else self._gb
+        if all(len(g) == 1 for g in gens):
+            return [g.leading_monomial() for g in gens]
+        return None
+
     def intersection(self, other: "Ideal") -> "Ideal":
-        """Intersection via the auxiliary-variable elimination trick."""
+        """The intersection I ∩ J, exact in every case.
+
+        Two shortcuts come before the general route, and neither computes a
+        basis of its own:
+
+        - when both ideals are monomial (all generators, or all elements of
+          a cached basis, are single terms), (m_i) ∩ (n_j) = (lcm(m_i, n_j));
+        - when J's reduced basis is cached and I ⊆ J, the answer is I, and
+          the same holds with the two sides swapped.
+
+        Everything else goes through the auxiliary-variable elimination
+        I ∩ J = (t·I + (1 - t)·J) ∩ F_p[x].
+        """
         check_member(other, Ideal, "the other ideal", self.ring)
         if not self.gens or not other.gens:
             return Ideal(self.ring, ())
-        ext = _extended_ring(self.ring)
-        t = ext.gens[0]
-        one_minus_t = ext.one - t
-        lifted = [t * _lift(g, ext) for g in self.gens]
-        lifted += [one_minus_t * _lift(g, ext) for g in other.gens]
-        basis = buchberger(lifted, ext)
-        kept = [
-            _project(h, self.ring)
-            for h in basis
-            if h.leading_monomial()[0] == 0
-        ]
-        return Ideal(self.ring, kept)
+        mine = self._monomials()
+        if mine is not None:
+            theirs = other._monomials()
+            if theirs is not None:
+                return _monomial_ideal(
+                    self.ring, (_monomial_lcm(a, b) for a in mine for b in theirs)
+                )
+        if other._gb is not None and self <= other:
+            return self
+        if self._gb is not None and other <= self:
+            return other
+        return Ideal(self.ring, self._eliminate(other))
 
     def colon(self, f: Poly) -> "Ideal":
-        """The quotient (I : f) = {g : g*f in I}; f must be nonzero."""
+        """The quotient (I : f) = {g : g*f in I}; f must be nonzero.
+
+        Two shortcuts come before the general route, and neither computes a
+        basis of its own:
+
+        - when I and f are monomial, (m_i) : n = (m_i / gcd(m_i, n));
+        - when I's reduced basis is cached and f ∈ I, the answer is (1).
+
+        Everything else divides the generators of I ∩ (f), found by the
+        elimination :meth:`intersection` uses, by f.
+        """
         check_member(f, Poly, "the divisor", self.ring)
         if not f:
             raise DomainError("ideal quotient by the zero polynomial")
-        inter = self.intersection(Ideal(self.ring, (f,)))
+        ring = self.ring
+        if not self.gens:
+            return Ideal(ring, ())
+        if len(f) == 1:
+            mine = self._monomials()
+            if mine is not None:
+                n = f.leading_monomial()
+                return _monomial_ideal(
+                    ring, (tuple(map(sub, m, map(min, m, n))) for m in mine)
+                )
+        if self._gb is not None and self.contains(f):
+            return Ideal(ring, (ring.one,))
         out: list[Poly] = []
-        for g in inter.gens:
+        for g in self._eliminate(Ideal._of_checked(ring, (f,))):
             quots, rem = poly_division(g, [f])
             if rem:
                 raise InvariantError(
@@ -411,7 +464,21 @@ class Ideal:
                     "by its generator"
                 )
             out.append(quots[0])
-        return Ideal(self.ring, out)
+        return Ideal(ring, out)
+
+    def _eliminate(self, other: "Ideal") -> list[Poly]:
+        # Generators of I ∩ J: the reduced basis of t·I + (1 - t)·J in the
+        # elimination order, with every element free of t projected back.
+        ext = _extended_ring(self.ring)
+        t = ext.gens[0]
+        one_minus_t = ext.one - t
+        lifted = [t * _lift(g, ext) for g in self.gens]
+        lifted += [one_minus_t * _lift(g, ext) for g in other.gens]
+        return [
+            _project(h, self.ring)
+            for h in buchberger(lifted, ext)
+            if h.leading_monomial()[0] == 0
+        ]
 
     # -- rendering -----------------------------------------------------------
 
@@ -422,6 +489,12 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"<Ideal {self} of {self.ring}>"
+
+
+def _monomial_ideal(ring: Ring, monos: Iterable[Exponents]) -> Ideal:
+    # the ideal of the distinct monomials, each with coefficient 1
+    gens = tuple(Poly(ring, {m: 1}, m) for m in dict.fromkeys(monos))
+    return Ideal._of_checked(ring, gens)
 
 
 def _extended_ring(ring: Ring) -> Ring:

@@ -331,10 +331,14 @@ class Poly:
     def monic(self) -> "Poly":
         if not self._terms:
             return self
-        lc = self.leading_coeff()
+        lm = self.leading_monomial()
+        lc = self._terms[lm]
         if lc == 1:
             return self
-        return self * pow(lc, self.ring.p - 2, self.ring.p)
+        # scaling by a unit keeps every exponent, and so the leading one
+        p = self.ring.p
+        inv = pow(lc, p - 2, p)
+        return Poly(self.ring, {m: c * inv % p for m, c in self._terms.items()}, lm)
 
     # -- equality and hashing -----------------------------------------
 

@@ -22,7 +22,7 @@ from fsing import (
 )
 from fsing.oracle import express_in_ideal
 
-from conftest import rand_ideal, rand_poly
+from conftest import rand_ideal, rand_monomial, rand_poly
 
 R2 = Ring(p=2, var_names=("x", "y"))
 R3 = Ring(p=3, var_names=("x", "y"))
@@ -72,6 +72,27 @@ class TestDivision:
             for q, d in zip(quots, divisors):
                 if q:
                     assert key((q * d).leading_monomial()) <= top
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    def test_results_carry_their_leading_monomials(self, order):
+        # division pops terms in decreasing order, so it knows each leading
+        # monomial without a search; monic() scales and keeps it
+        rng = random.Random(31)
+        ring = Ring(p=5, var_names=("t", "x", "y"), order=order)
+        key = ring.monomial_key()
+        for _ in range(40):
+            f = rand_poly(rng, ring, 5, 4)
+            divisors = [rand_poly(rng, ring, 3, 3, nonzero=True) for _ in range(2)]
+            quots, rem = poly_division(f, divisors)
+            for h in quots + [rem]:
+                assert h._lm == (max(h._terms, key=key) if h else None)
+            g = rand_poly(rng, ring, 5, 4, nonzero=True)
+            lc = g.leading_coeff()
+            monic = g.monic()
+            assert monic._terms.keys() == g._terms.keys()
+            assert monic._lm == max(g._terms, key=key)
+            assert monic.leading_coeff() == 1
+            assert monic * lc == g
 
     def test_divide_by_zero_rejected(self):
         x, _ = R2.gens
@@ -464,6 +485,82 @@ class TestColon:
                     assert ideal.contains(g * f)
                 probe = rand_poly(rng, ring, 2, 2)
                 assert quotient.contains(probe) == ideal.contains(probe * f)
+
+
+def _meet_by_elimination(a: Ideal, b: Ideal) -> Ideal:
+    return Ideal(a.ring, a._eliminate(b))
+
+
+def _colon_by_elimination(ideal: Ideal, f) -> Ideal:
+    meet = ideal._eliminate(Ideal(ideal.ring, (f,)))
+    return Ideal(ideal.ring, [poly_division(g, [f])[0][0] for g in meet])
+
+
+def _binomial_ideal(rng: random.Random, ring: Ring) -> Ideal:
+    # a nonzero ideal with a generator of two or more terms, so that no
+    # monomial formula applies to it
+    while True:
+        ideal = rand_ideal(rng, ring, 3)
+        if any(len(g) > 1 for g in ideal.gens):
+            return ideal
+
+
+class TestShortcutsAgreeWithElimination:
+    """Each shortcut gives the reduced basis the elimination route gives.
+
+    The shortcuts compute no basis, so they also succeed under an S-pair
+    cap of 0 once the cached basis they read is in place.
+    """
+
+    RINGS = [Ring(p=p, var_names=("x", "y", "z"), order=order)
+             for p in (2, 3, 5) for order in ("grevlex", "lex")]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_monomial_formulas(self, ring):
+        rng = random.Random(71 + ring.p)
+        for _ in range(15):
+            a, b = (
+                Ideal(ring, [rand_monomial(rng, ring, 4) for _ in range(k)])
+                for k in (rng.randint(1, 3), rng.randint(1, 3))
+            )
+            f = rand_monomial(rng, ring, 3)
+            meet = _meet_by_elimination(a, b).groebner()
+            quotient = _colon_by_elimination(a, f).groebner()
+            with spair_budget(0):
+                fast_meet = a.intersection(b)
+                fast_quotient = a.colon(f)
+            assert fast_meet.groebner() == meet
+            assert fast_quotient.groebner() == quotient
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_containment_in_a_cached_basis(self, ring):
+        rng = random.Random(73 + ring.p)
+        for _ in range(15):
+            big = _binomial_ideal(rng, ring)
+            small = Ideal(ring, [rand_poly(rng, ring, 2, 2, nonzero=True) * g
+                                 for g in rng.sample(big.gens, 1)])
+            meets = (
+                Ideal(ring, small.gens).intersection(Ideal(ring, big.gens)).groebner(),
+                Ideal(ring, big.gens).intersection(Ideal(ring, small.gens)).groebner(),
+            )
+            big.groebner()
+            with spair_budget(0):
+                fast = (small.intersection(big), big.intersection(small))
+            assert tuple(m.groebner() for m in fast) == meets
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_a_divisor_inside_a_cached_basis(self, ring):
+        rng = random.Random(79 + ring.p)
+        for _ in range(15):
+            ideal = _binomial_ideal(rng, ring)
+            f = ring.zero
+            while not f:
+                f = sum((rand_poly(rng, ring, 2, 2) * g for g in ideal.gens), ring.zero)
+            quotient = Ideal(ring, ideal.gens).colon(f).groebner()
+            ideal.groebner()
+            with spair_budget(0):
+                fast = ideal.colon(f)
+            assert fast.groebner() == quotient == (ring.one,)
 
 
 class TestBracketPower:

@@ -6,7 +6,9 @@ unique for a fixed monomial order.  Intersections and colons are rederived
 on the sympy side by elimination (a basis in sympy's product order, the
 auxiliary variable first) and projected to the base ring before the reduced
 bases are compared.  Inputs are seeded random ideals, including all-monomial ones,
-at p in {2, 3, 5, 32003}.
+at p in {2, 3, 5, 32003}, in grevlex and lex.  Seeded cases aim at each
+shortcut that ``intersection`` and ``colon`` take before elimination:
+monomial formulas, containment in a cached basis, and f in I.
 """
 
 from __future__ import annotations
@@ -132,9 +134,27 @@ def _sympy_intersection(a: list, b: list, syms, p: int) -> list:
     return [g for g in gb.exprs if not g.has(t)]
 
 
+def _sympy_colon(a: list, f, syms, p: int) -> list:
+    # Divide the generators of A ∩ (f) by f.
+    quotients = []
+    for g in _sympy_intersection(a, [f], syms, p):
+        q, r = sympy.div(
+            sympy.Poly(g, *syms, modulus=p), sympy.Poly(f, *syms, modulus=p)
+        )
+        assert r.is_zero
+        quotients.append(q.as_expr())
+    return quotients
+
+
+def _both_orders(grevlex_seed: int, lex_seed: int, count: int):
+    for order, seed in (("grevlex", grevlex_seed), ("lex", lex_seed)):
+        for rng, p, n in _systems(seed, count):
+            yield order, rng, p, n
+
+
 def test_intersection_matches_sympy_elimination():
-    for rng, p, n in _systems(8104, 24):
-        ring = Ring(p=p, var_names=NAMES[:n])
+    for order, rng, p, n in _both_orders(8104, 8108, 24):
+        ring = Ring(p=p, var_names=NAMES[:n], order=order)
         syms = sympy.symbols(NAMES[:n])
         a, b = _random_system(rng, p, n), _random_system(rng, p, n)
         ours = Ideal(ring, [ring.poly(t) for t in a]).intersection(
@@ -143,24 +163,114 @@ def test_intersection_matches_sympy_elimination():
         meet = _sympy_intersection(
             [_to_sympy(t, syms) for t in a], [_to_sympy(t, syms) for t in b], syms, p
         )
-        theirs = _sympy_basis(meet, syms, p, "grevlex")
-        assert _fsing_basis(ours.groebner()) == theirs, (p, a, b)
+        theirs = _sympy_basis(meet, syms, p, order)
+        assert _fsing_basis(ours.groebner()) == theirs, (p, order, a, b)
 
 
 def test_colon_matches_sympy_elimination():
-    for rng, p, n in _systems(8105, 24):
-        ring = Ring(p=p, var_names=NAMES[:n])
+    for order, rng, p, n in _both_orders(8105, 8109, 24):
+        ring = Ring(p=p, var_names=NAMES[:n], order=order)
         syms = sympy.symbols(NAMES[:n])
         a = _random_system(rng, p, n, fewest=2)
         f = _random_terms(rng, p, n, rng.random() < 0.25)
         ours = Ideal(ring, [ring.poly(t) for t in a]).colon(ring.poly(f))
-        f_expr = _to_sympy(f, syms)
-        meet = _sympy_intersection([_to_sympy(t, syms) for t in a], [f_expr], syms, p)
-        quotients = []
-        for g in meet:
-            q, r = sympy.div(sympy.Poly(g, *syms, modulus=p),
-                             sympy.Poly(f_expr, *syms, modulus=p))
-            assert r.is_zero
-            quotients.append(q.as_expr())
-        theirs = _sympy_basis(quotients, syms, p, "grevlex")
-        assert _fsing_basis(ours.groebner()) == theirs, (p, a, f)
+        a_expr = [_to_sympy(t, syms) for t in a]
+        quotients = _sympy_colon(a_expr, _to_sympy(f, syms), syms, p)
+        theirs = _sympy_basis(quotients, syms, p, order)
+        assert _fsing_basis(ours.groebner()) == theirs, (p, order, a, f)
+
+
+def _multiple(
+    rng: random.Random, p: int, n: int, system: list[dict], monomial: bool = False
+) -> dict:
+    # sum of h_i * g_i over the system, with random h_i: an element of its ideal
+    out: dict = {}
+    for g in system:
+        h = _random_terms(rng, p, n, monomial)
+        for m1, c1 in g.items():
+            for m2, c2 in h.items():
+                m = tuple(map(sum, zip(m1, m2)))
+                out[m] = (out.get(m, 0) + c1 * c2) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _sympy_contains(system: list, elements: list, syms, p: int, order: str) -> bool:
+    gb = sympy.groebner(system, *syms, modulus=p, order=order)
+    return all(gb.contains(g) for g in elements)
+
+
+def _intersection_cases(rng: random.Random, p: int, n: int):
+    # (name, A, B, whether B's basis is cached, the side inside the other or
+    # None): each case exercises one shortcut.  The answer to a containment
+    # case is its inner side; the test checks the containment with sympy,
+    # whose elimination on these inputs can take minutes.
+    mono = [_random_terms(rng, p, n, True) for _ in range(rng.randint(1, 3))]
+    other = [_random_terms(rng, p, n, True) for _ in range(rng.randint(1, 3))]
+    yield "monomial ∩ monomial", mono, other, False, None
+    big = _random_system(rng, p, n, fewest=2)
+    # generators times terms: a lex basis of larger multiples can take
+    # minutes on either engine
+    small = [
+        _multiple(rng, p, n, [rng.choice(big)], monomial=True)
+        for _ in range(rng.randint(1, 2))
+    ]
+    yield "I ⊆ J, J cached", small, big, True, small
+    yield "J ⊆ I, I cached", big, small, False, small
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_intersection_shortcuts_match_sympy(order):
+    for rng, p, n in _systems(8110 if order == "grevlex" else 8111, 16):
+        ring = Ring(p=p, var_names=NAMES[:n], order=order)
+        syms = sympy.symbols(NAMES[:n])
+        for name, a, b, cache_b, inner in _intersection_cases(rng, p, n):
+            lhs = Ideal(ring, [ring.poly(t) for t in a])
+            rhs = Ideal(ring, [ring.poly(t) for t in b])
+            (rhs if cache_b else lhs).groebner()
+            ours = lhs.intersection(rhs)
+            a_expr = [_to_sympy(t, syms) for t in a]
+            b_expr = [_to_sympy(t, syms) for t in b]
+            if inner is None:
+                meet = _sympy_intersection(a_expr, b_expr, syms, p)
+            else:
+                meet, outer = (a_expr, b_expr) if inner is a else (b_expr, a_expr)
+                assert _sympy_contains(outer, meet, syms, p, order), (name, p, a, b)
+            theirs = _sympy_basis(meet, syms, p, order)
+            assert _fsing_basis(ours.groebner()) == theirs, (name, p, a, b)
+
+
+def _colon_cases(rng: random.Random, p: int, n: int):
+    # (name, I, f, whether I's basis is cached): each case exercises one
+    # shortcut.  Monomial cases are checked against sympy's elimination; for
+    # the others (I : f) is (1) when f is in I and I when f is a constant.
+    mono = [_random_terms(rng, p, n, True) for _ in range(rng.randint(1, 3))]
+    yield "monomial : monomial", mono, _random_terms(rng, p, n, True), False
+    constant = {(0,) * n: rng.randrange(1, p)}
+    yield "monomial : constant", mono, constant, False
+    system = _random_system(rng, p, n, fewest=2)
+    yield "f ∈ I, I cached", system, _multiple(rng, p, n, system) or system[0], True
+    yield "constant f", system, constant, False
+    yield "constant f, I cached", system, constant, True
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_colon_shortcuts_match_sympy(order):
+    for rng, p, n in _systems(8112 if order == "grevlex" else 8113, 16):
+        ring = Ring(p=p, var_names=NAMES[:n], order=order)
+        syms = sympy.symbols(NAMES[:n])
+        for name, a, f, cache in _colon_cases(rng, p, n):
+            ideal = Ideal(ring, [ring.poly(t) for t in a])
+            if cache:
+                ideal.groebner()
+            ours = ideal.colon(ring.poly(f))
+            a_expr = [_to_sympy(t, syms) for t in a]
+            f_expr = _to_sympy(f, syms)
+            if len(f) == 1 and all(len(t) == 1 for t in a):
+                quotients = _sympy_colon(a_expr, f_expr, syms, p)
+            elif not any(next(iter(f))):
+                quotients = a_expr
+            else:
+                assert _sympy_contains(a_expr, [f_expr], syms, p, order), (name, p, a, f)
+                quotients = [sympy.Integer(1)]
+            theirs = _sympy_basis(quotients, syms, p, order)
+            assert _fsing_basis(ours.groebner()) == theirs, (name, p, a, f)
