@@ -211,6 +211,7 @@ def _cmd_verify(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
 
     if level >= 2:
         iterated = ideal
+        # not on frobmod.walk: its == builds a basis per root (cli-batch bases 779 -> 809)
         for _ in range(level):
             nxt = ideal_root(iterated, 1)
             # a root that returns its input's generators is a fixed point,

@@ -17,6 +17,9 @@ the shrinking step), and the report carries a certificate of both facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterator
 
 from .errors import (
     DomainError,
@@ -48,6 +51,22 @@ def shrink_step(relations: Ideal, multiplier: Poly, ideal: Ideal) -> Ideal:
     with relations = (0), the iterated test-ideal step.
     """
     return (relations + ideal_root(ideal.scale(multiplier), 1)).canonical()
+
+
+def walk(step: Callable[[Ideal], Ideal], start: Ideal) -> Iterator[Ideal]:
+    """Yield start, step(start), step(step(start)), ... up to the first repeat.
+
+    Each step is a function of its input ideal alone, so once one returns
+    its input, every later one does: the walk ends there and never yields
+    the repeat.  Taking k items runs ``step`` k - 1 times.
+    """
+    cur = start
+    while True:
+        yield cur
+        nxt = step(cur)
+        if nxt == cur:
+            return
+        cur = nxt
 
 
 @dataclass(frozen=True)
@@ -182,20 +201,16 @@ class FrobModule:
         lies in the relations.  By (g^q h)^[1/q] = g h^[1/q], and since
         validity puts root(f * relations, 1) inside the relations, the
         relations plus that root is the e-th :func:`shrink_step` from the
-        ambient ideal; the order is the first e where it equals the
-        relations.  None means either that a step changed nothing above
-        the relations (never nilpotent) or that e_max steps did not reach
-        them (order > e_max, if any).
+        ambient ideal.  The order is the first e >= 1 where the :func:`walk`
+        from the ambient ideal itself meets the relations (the zero module:
+        order 1, no step).  None means the walk stopped above the relations
+        (never nilpotent) or e_max steps did not reach them (order > e_max).
         """
         check_int(e_max, "the nilpotency budget", 1)
-        cur = self.ambient
-        for e in range(1, e_max + 1):
-            nxt = shrink_step(self.relations, self.multiplier, cur)
-            if nxt == self.relations:
-                return e
-            if cur <= nxt:  # steps descend, so nxt == cur
-                return None
-            cur = nxt
+        step = partial(shrink_step, self.relations, self.multiplier)
+        for e, ideal in enumerate(islice(walk(step, self.ambient), e_max + 1)):
+            if ideal == self.relations:
+                return max(e, 1)  # the zero module's map is zero at e = 1
         return None
 
     def _kernel_chain(self, e_max: int = _KERNEL_BUDGET) -> tuple[Ideal, int]:
@@ -209,24 +224,22 @@ class FrobModule:
         presentation; submodule-level answers intersect afterwards.
 
         Frobenius is flat on F_p[x], so (I : g)^[q] = (I^[q] : g^q); hence
-        K_1 = (relations^[q] : f) and K_{e+1} = (K_e^[q] : f), and each
-        level costs one colon by f itself.  The chain ascends, and once
-        K_e = K_{e+1} it is frozen:
-        K_{e+2} = (K_{e+1}^[q] : f) = (K_e^[q] : f) = K_{e+1}.
+        K_1 = (relations^[q] : f) and K_{e+1} = (K_e^[q] : f), one colon by f
+        per level, and the ascending chain is walked to its first repeat.
         """
         if not self.multiplier:
             return Ideal(self.ring, (self.ring.one,)).canonical(), 1
-        f = self.multiplier
-        prev = self.relations.bracket_power(1).colon(f).canonical()
-        for e in range(1, e_max + 1):
-            nxt = prev.bracket_power(1).colon(f).canonical()
-            if nxt == prev:
-                return prev, e
-            prev = nxt
-        raise ResourceError(
-            f"iterated kernel chain did not stabilize within {e_max} levels",
-            partial=prev,
-        )
+
+        def colon_step(kernel: Ideal) -> Ideal:
+            return kernel.bracket_power(1).colon(self.multiplier).canonical()
+
+        levels = list(islice(walk(colon_step, colon_step(self.relations)), e_max + 1))
+        if len(levels) > e_max:
+            raise ResourceError(
+                f"iterated kernel chain did not stabilize within {e_max} levels",
+                partial=levels[-1],
+            )
+        return levels[-1], len(levels)
 
     def nilpotent_part(self) -> Ideal:
         """Ideal presenting the largest submodule killed by some iterate.
@@ -285,22 +298,17 @@ class FrobModule:
         """
         check_int(iteration_budget, "the iteration budget", 0)
         relations_min, chain_length = self._kernel_chain()
-        f = self.multiplier
-        cur = (self.ambient + relations_min).canonical()
-        iterations = 0
-        while True:
-            nxt = shrink_step(relations_min, f, cur)
-            if nxt == cur:
-                break
-            cur = nxt
-            iterations += 1
-            if iterations > iteration_budget:
-                raise ResourceError(
-                    f"ambient shrinking did not reach a fixed point within "
-                    f"{iteration_budget} iterations",
-                    partial=FrobModule(relations_min, cur, f),
-                )
-        result = FrobModule(relations_min, cur, f)
+        step = partial(shrink_step, relations_min, self.multiplier)
+        start = (self.ambient + relations_min).canonical()
+        chain = list(islice(walk(step, start), iteration_budget + 2))
+        result = FrobModule(relations_min, chain[-1], self.multiplier)
+        iterations = len(chain) - 1
+        if iterations > iteration_budget:
+            raise ResourceError(
+                f"ambient shrinking did not reach a fixed point within "
+                f"{iteration_budget} iterations",
+                partial=result,
+            )
         certificate = result.certify()
         if not certificate.holds:
             raise InvariantError(

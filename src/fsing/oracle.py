@@ -195,10 +195,3 @@ def express_in_ideal(
         if value:
             cofactors[i][mu] = value
     return [ring.poly(terms) for terms in cofactors]
-
-
-def ideal_membership_bruteforce(f: Poly, gens: list[Poly], max_degree: int) -> bool:
-    """Membership decided purely by the linear-algebra certificate search."""
-    if not f:
-        return True
-    return express_in_ideal(f, gens, max_degree) is not None

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, check_int, check_member
-from .frobmod import FrobModule, shrink_step
+from .frobmod import FrobModule, shrink_step, walk
 from .frobroot import poly_root
 from .groebner import Ideal
 from .polyring import Poly
@@ -72,8 +74,9 @@ def test_ideal(f: Poly, m: int, e: int) -> Ideal:
 
     Computed as f**r * J_e by the descent over the base-q digits d_i of
     m = d_0 + d_1*q + ... + d_{e-1}*q**(e-1) + q**e * r (see the module
-    docstring), so f**m is never expanded.  m == 0 yields the unit ideal;
-    the level e must be >= 1.
+    docstring), so f**m is never expanded.  Digits past the top of m are 0;
+    that tail is a :func:`walk` of plain roots, cut at its fixed point.
+    m == 0 yields the unit ideal; the level e must be >= 1.
     """
     check_member(f, Poly, "the polynomial")
     check_int(m, "the test ideal exponent", 0)
@@ -85,14 +88,8 @@ def test_ideal(f: Poly, m: int, e: int) -> Ideal:
         rest, d = divmod(rest, q)
         digits.append(d)
     descent = _Descent(f)
-    cur = descent(digits)
-    # The remaining e - len(digits) digits are 0, so each remaining step is
-    # a plain root; once one changes nothing, none of the rest does.
-    for _ in range(len(digits), e):
-        nxt = descent.step(0, cur)
-        if nxt == cur:
-            break
-        cur = nxt
+    tail = walk(partial(descent.step, 0), descent(digits))
+    *_, cur = islice(tail, e - len(digits) + 1)
     return cur.scale(f**rest) if rest else cur
 
 
@@ -114,17 +111,18 @@ def je_chain(f: Poly, e_max: int) -> list[ChainLevel]:
     expanded power rather than by the descent of :func:`test_ideal`, so
     that the two columns are independent routes; the power grows by one
     Frobenius twist of f per level.  ``iterated`` applies the single
-    multiply-and-root step e times from the unit ideal.  The ``equal``
-    flags record the comparison instead of assuming it.
+    multiply-and-root step e times from the unit ideal, as a :func:`walk`:
+    past its fixed point the level repeats it instead of stepping again.
+    The ``equal`` flags record the comparison instead of assuming it.
     """
     check_int(e_max, "the chain length", 1)
     ring = f.ring
-    zero = Ideal(ring, ())
+    column = walk(partial(shrink_step, Ideal(ring, ()), f), Ideal(ring, (ring.one,)))
+    iterated = next(column)
     levels: list[ChainLevel] = []
-    iterated = Ideal(ring, (ring.one,))
     power = ring.one  # f**(1 + q + ... + q**(e-1)) at level e
     for e in range(1, e_max + 1):
-        iterated = shrink_step(zero, f, iterated)
+        iterated = next(column, iterated)  # past the fixed point, repeat it
         power = power * f.frobenius_power(e - 1)
         direct = poly_root(power, e).canonical()
         levels.append(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -41,6 +42,71 @@ def direct_kernel(module: FrobModule, e: int) -> Ideal:
     # level-e iterated kernel in one colon, independent of the recurrence
     f_e = module.multiplier ** iterate_exponent(module.ring.q, e)
     return module.relations.bracket_power(e).colon(f_e)
+
+
+def counted_shrink_steps(monkeypatch) -> list:
+    # every shrink_step frobmod makes from now on, by its arguments
+    calls = []
+    step = frobmod.shrink_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(frobmod, "shrink_step", counted)
+    return calls
+
+
+class TestWalk:
+    @staticmethod
+    def chains():
+        # an ascending colon chain and a descending shrink chain, each
+        # with its step, its start and its direction
+        (x,) = R1.gens
+        k8 = FrobModule(Ideal(R1, (x**8,)), Ideal(R1, (R1.one,)), x**9)
+
+        def colon_step(kernel):
+            return kernel.bracket_power(1).colon(k8.multiplier).canonical()
+
+        x6 = FrobModule(Ideal(R1, (x**6,)), Ideal(R1, (R1.one,)), x**6)
+
+        def shrink(ideal):
+            return frobmod.shrink_step(x6.relations, x6.multiplier, ideal)
+
+        yield colon_step, colon_step(k8.relations), "ascending"
+        yield shrink, x6.ambient.canonical(), "descending"
+
+    @staticmethod
+    def counting(step):
+        calls = []
+
+        def counted(ideal):
+            calls.append(ideal)
+            return step(ideal)
+
+        return counted, calls
+
+    def test_start_first_and_no_repeat(self):
+        for step, start, direction in self.chains():
+            items = list(frobmod.walk(step, start))
+            assert items[0] is start
+            assert len(items) >= 3
+            for a, b in zip(items, items[1:]):
+                assert a != b
+                assert (a <= b) if direction == "ascending" else (b <= a)
+            assert step(items[-1]) == items[-1]
+
+    def test_taking_k_items_runs_k_minus_one_steps(self):
+        for step, start, _ in self.chains():
+            length = len(list(frobmod.walk(step, start)))
+            for k in range(1, length + 1):
+                counted, calls = self.counting(step)
+                assert len(list(islice(frobmod.walk(counted, start), k))) == k
+                assert len(calls) == k - 1
+            # running out takes one more step, to see the repeat
+            counted, calls = self.counting(step)
+            list(frobmod.walk(counted, start))
+            assert len(calls) == length
 
 
 class TestIterateExponent:
@@ -178,6 +244,30 @@ class TestNilpotency:
         )
         assert module.nilpotency_order(32) is None
 
+    def test_shrink_steps_within_the_budget(self, monkeypatch):
+        # the walk starts at the ambient ideal itself: a fixed ambient ideal
+        # costs one step, the zero module none, and no walk passes e_max
+        (x,) = R1.gens
+        one = Ideal(R1, (R1.one,))
+        modules = [
+            FrobModule(Ideal(R1, (x**8,)), one, x**9),
+            FrobModule(Ideal(R1, (x,)), Ideal(R1, (x,)), x),
+        ]
+        modules += module_pool(131, 20, POOL_RINGS)
+        calls = counted_shrink_steps(monkeypatch)
+        for module in modules:
+            for e_max in (1, 2, 6):
+                calls.clear()
+                module.nilpotency_order(e_max)
+                assert len(calls) <= e_max
+        calls.clear()
+        assert modules[1].nilpotency_order() == 1 and not calls
+        for module in (principal(R1, "x"), principal(R3, "x")):
+            assert module.fr_inverse().ambient == module.ambient != module.relations
+            calls.clear()
+            assert module.nilpotency_order(5) is None
+            assert len(calls) == 1
+
     def test_order_matches_definition(self):
         # the reported order is the first level whose iterate vanishes, by
         # the definition: f^(1+q+...+q^(e-1)) * ambient <= relations^[q^e]
@@ -244,8 +334,10 @@ class TestNilpotentPart:
         # the chain for this module never stabilizes within a one-step budget
         k8 = Ideal(R1, (x**8,))
         module = FrobModule(k8, Ideal(R1, (R1.one,)), x**9)
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError) as info:
             module._kernel_chain(1)
+        assert isinstance(info.value.partial, Ideal)
+        assert info.value.partial == direct_kernel(module, 2)
 
     def test_part_is_nilpotent(self):
         rng = random.Random(109)
@@ -354,6 +446,22 @@ class TestMinimalize:
         with pytest.raises(ResourceError):
             module.minimalize(iteration_budget=1)
 
+    def test_iteration_budget_partial(self):
+        # the partial keeps the stabilized relations and the last ambient
+        # ideal the walk reached: the third shrink step for a budget of 2
+        (x,) = R1.gens
+        module = FrobModule(Ideal(R1, (x**6,)), Ideal(R1, (R1.one,)), x**6)
+        assert module.minimalize().fr_iterations == 3
+        with pytest.raises(ResourceError) as info:
+            module.minimalize(iteration_budget=2)
+        partial = info.value.partial
+        assert isinstance(partial, FrobModule)
+        relations, _ = module._kernel_chain()
+        ambient = (module.ambient + relations).canonical()
+        for _ in range(3):
+            ambient = frobmod.shrink_step(relations, module.multiplier, ambient)
+        assert partial == FrobModule(relations, ambient, module.multiplier)
+
     @pytest.mark.parametrize("budget", [-5, "3", 1.5, None])
     def test_iteration_budget_must_be_a_nonnegative_integer(self, budget):
         (x,) = R1.gens
@@ -375,14 +483,7 @@ class TestMinimalize:
     def test_fixed_point_is_checked_once_by_the_walk_and_once_by_the_certificate(
         self, monkeypatch
     ):
-        calls = []
-        step = frobmod.shrink_step
-
-        def counted(*args):
-            calls.append(args)
-            return step(*args)
-
-        monkeypatch.setattr(frobmod, "shrink_step", counted)
+        calls = counted_shrink_steps(monkeypatch)
         (x,) = R1.gens
         for module in (
             principal(R1, "x"),

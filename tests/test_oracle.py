@@ -14,7 +14,6 @@ from fsing.oracle import (
     _antichains,
     bracket_membership_oracle,
     express_in_ideal,
-    ideal_membership_bruteforce,
     monomial_root_oracle,
     smallest_ideal_bruteforce,
 )
@@ -187,7 +186,7 @@ class TestExpressInIdeal:
             ring = rng.choice([R1, R2])
             gens = [rand_poly(rng, ring, 2, 2) for _ in range(2)]
             f = rand_poly(rng, ring, 2, 3)
-            if ideal_membership_bruteforce(f, gens, 3):
+            if express_in_ideal(f, gens, 3) is not None:
                 assert Ideal(ring, tuple(gens)).contains(f)
                 hits += 1
         assert hits >= 5

@@ -149,6 +149,33 @@ class TestJeChain:
             for level in je_chain(f, 3):
                 assert level.equal
 
+    def test_iterated_column_past_its_fixed_point(self, monkeypatch):
+        # the column equals e_max plain shrink steps from (1), yet stops
+        # stepping one step after it fixes and repeats that ideal instead
+        calls = []
+        step = testideals.shrink_step
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(testideals, "shrink_step", counted)
+        assert all(level.iterated.is_unit() for level in je_chain(R1("x"), 6))
+        assert len(calls) == 1
+        rng = random.Random(23)
+        e_max = 5
+        for _ in range(15):
+            ring = rng.choice([R1, R2, R3, R32])
+            f = rand_poly(rng, ring, 3, 8, nonzero=True)
+            plain = [Ideal(ring, (ring.one,))]
+            for _ in range(e_max):
+                plain.append(step(Ideal(ring, ()), f, plain[-1]))
+            calls.clear()
+            levels = je_chain(f, e_max)
+            assert [level.iterated for level in levels] == plain[1:]
+            fixed = next((i for i in range(e_max) if plain[i] == plain[i + 1]), e_max)
+            assert len(calls) == min(fixed + 1, e_max)
+
     def test_grown_power_matches_the_expanded_power(self, monkeypatch):
         # the direct column multiplies in one Frobenius twist of f per
         # level; on the benchmark's fthreshold polynomials, its power and
