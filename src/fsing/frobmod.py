@@ -53,6 +53,17 @@ def shrink_step(relations: Ideal, multiplier: Poly, ideal: Ideal) -> Ideal:
     return (relations + ideal_root(ideal.scale(multiplier), 1)).canonical()
 
 
+def kernel_step(multiplier: Poly, ideal: Ideal) -> Ideal:
+    """One kernel step (ideal^[q] : multiplier), canonical; (1) for a zero multiplier.
+
+    The level step K_{e+1} = (K_e^[q] : f) of the iterated kernel chain, and
+    from the relations the structural kernel before the ambient cut.
+    """
+    if not multiplier:
+        return Ideal(ideal.ring, (ideal.ring.one,)).canonical()
+    return ideal.bracket_power(1).colon(multiplier).canonical()
+
+
 def walk(step: Callable[[Ideal], Ideal], start: Ideal) -> Iterator[Ideal]:
     """Yield start, step(start), step(step(start)), ... up to the first repeat.
 
@@ -182,16 +193,10 @@ class FrobModule:
     def structural_kernel(self) -> Ideal:
         """Ideal presenting the kernel of the structural map.
 
-        Computed as (relations^[q] : f) meet ambient; equals the ambient
-        ideal when f == 0 (everything is killed).
+        Computed as the :func:`kernel_step` (relations^[q] : f) meet ambient;
+        equals the ambient ideal when f == 0 (everything is killed).
         """
-        if not self.multiplier:
-            return self.ambient
-        return (
-            self.relations.bracket_power(1)
-            .colon(self.multiplier)
-            .intersection(self.ambient)
-        )
+        return kernel_step(self.multiplier, self.relations).intersection(self.ambient)
 
     def nilpotency_order(self, e_max: int = 32) -> int | None:
         """Smallest e <= e_max with the e-fold structural map zero, or None.
@@ -224,22 +229,19 @@ class FrobModule:
         presentation; submodule-level answers intersect afterwards.
 
         Frobenius is flat on F_p[x], so (I : g)^[q] = (I^[q] : g^q); hence
-        K_1 = (relations^[q] : f) and K_{e+1} = (K_e^[q] : f), one colon by f
-        per level, and the ascending chain is walked to its first repeat.
+        K_{e+1} = (K_e^[q] : f), one :func:`kernel_step` per level, walked
+        from K_0 = relations to its first repeat.  The length is the first
+        e >= 1 with K_{e+1} = K_e (1 when the walk stops at K_0); neither
+        answer depends on whether the module is valid.
         """
-        if not self.multiplier:
-            return Ideal(self.ring, (self.ring.one,)).canonical(), 1
-
-        def colon_step(kernel: Ideal) -> Ideal:
-            return kernel.bracket_power(1).colon(self.multiplier).canonical()
-
-        levels = list(islice(walk(colon_step, colon_step(self.relations)), e_max + 1))
-        if len(levels) > e_max:
+        step = partial(kernel_step, self.multiplier)
+        levels = list(islice(walk(step, self.relations.canonical()), e_max + 2))
+        if len(levels) > e_max + 1:
             raise ResourceError(
                 f"iterated kernel chain did not stabilize within {e_max} levels",
                 partial=levels[-1],
             )
-        return levels[-1], len(levels)
+        return levels[-1], max(len(levels) - 1, 1)
 
     def nilpotent_part(self) -> Ideal:
         """Ideal presenting the largest submodule killed by some iterate.

@@ -183,13 +183,10 @@ class Ring:
         c = coeff % self.p
         return Poly(self, {m: c}, m) if c else Poly(self, {})
 
-    @property
+    @cached_property
     def gens(self) -> tuple["Poly", ...]:
         n = self.n
-        return tuple(
-            Poly(self, {tuple(1 if j == i else 0 for j in range(n)): 1})
-            for i in range(n)
-        )
+        return tuple(self.monomial(int(j == i) for j in range(n)) for i in range(n))
 
     def _checked(self, m: Exponents) -> Exponents:
         # Kept inline, not check_int and check_degree: this runs once per

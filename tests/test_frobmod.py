@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import random
 from itertools import islice
 
@@ -44,17 +46,44 @@ def direct_kernel(module: FrobModule, e: int) -> Ideal:
     return module.relations.bracket_power(e).colon(f_e)
 
 
-def counted_shrink_steps(monkeypatch) -> list:
-    # every shrink_step frobmod makes from now on, by its arguments
+def counted_steps(monkeypatch, name: str) -> list:
+    # every call frobmod makes to its step ``name`` from now on, by its
+    # arguments
     calls = []
-    step = frobmod.shrink_step
+    step = getattr(frobmod, name)
 
     def counted(*args):
         calls.append(args)
         return step(*args)
 
-    monkeypatch.setattr(frobmod, "shrink_step", counted)
+    monkeypatch.setattr(frobmod, name, counted)
     return calls
+
+
+# Each step has one home: the names each may be referenced from.
+STEP_HOMES = {"colon": "kernel_step", "ideal_root": "shrink_step"}
+
+
+def step_copies(tree: ast.AST) -> set[tuple[str, str]]:
+    """(name, scope) for every colon or ideal_root reached outside its home."""
+    found: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = (
+                child.attr if isinstance(child, ast.Attribute)
+                else child.id if isinstance(child, ast.Name)
+                else None
+            )
+            if name in STEP_HOMES and STEP_HOMES[name] not in scope:
+                found.add((name, ".".join(scope) or "<module>"))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
 
 
 class TestWalk:
@@ -107,6 +136,50 @@ class TestWalk:
             counted, calls = self.counting(step)
             list(frobmod.walk(counted, start))
             assert len(calls) == length
+
+
+class TestOneHomePerStep:
+    def test_frobmod_colons_and_roots_only_in_their_steps(self):
+        source = pathlib.Path(frobmod.__file__).read_text()
+        assert step_copies(ast.parse(source)) == set()
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def structural_kernel(self):\n    return self.relations.colon(f)",
+            "def shrink_step(f, I):\n    return I.colon(f)",
+            "def f(I):\n    step = I.colon\n    return step(g)",
+            "def kernel_step(f, I):\n    return ideal_root(I, 1)",
+            "class M:\n    def fr_inverse(self):\n        return frobroot.ideal_root(J, 1)",
+        ],
+    )
+    def test_the_scan_finds_a_copy(self, source):
+        assert step_copies(ast.parse(source))
+
+
+class TestKernelStep:
+    def test_stable_relations_take_one_step(self, monkeypatch):
+        # K_1 = ((x^2) : x) = (x) = K_0: the walk stops at K_0 after one colon
+        (x,) = R1.gens
+        module = FrobModule.validate(Ideal(R1, (x,)), Ideal(R1, (R1.one,)), x)
+        calls = counted_steps(monkeypatch, "kernel_step")
+        assert module._kernel_chain() == (Ideal(R1, (x,)), 1)
+        assert len(calls) == 1
+
+    def test_a_climbing_chain_takes_one_step_past_its_length(self, monkeypatch):
+        (x,) = R1.gens
+        module = FrobModule(Ideal(R1, (x**8,)), Ideal(R1, (R1.one,)), x**9)
+        calls = counted_steps(monkeypatch, "kernel_step")
+        chain, length = module._kernel_chain()
+        assert chain == Ideal(R1, (R1.one,)) and length == 4
+        assert len(calls) == length + 1
+
+    def test_structural_kernel_takes_one_step(self, monkeypatch):
+        calls = counted_steps(monkeypatch, "kernel_step")
+        for module in module_pool(137, 12, POOL_RINGS):
+            calls.clear()
+            module.structural_kernel()
+            assert calls == [(module.multiplier, module.relations)]
 
 
 class TestIterateExponent:
@@ -254,7 +327,7 @@ class TestNilpotency:
             FrobModule(Ideal(R1, (x,)), Ideal(R1, (x,)), x),
         ]
         modules += module_pool(131, 20, POOL_RINGS)
-        calls = counted_shrink_steps(monkeypatch)
+        calls = counted_steps(monkeypatch, "shrink_step")
         for module in modules:
             for e_max in (1, 2, 6):
                 calls.clear()
@@ -483,7 +556,7 @@ class TestMinimalize:
     def test_fixed_point_is_checked_once_by_the_walk_and_once_by_the_certificate(
         self, monkeypatch
     ):
-        calls = counted_shrink_steps(monkeypatch)
+        calls = counted_steps(monkeypatch, "shrink_step")
         (x,) = R1.gens
         for module in (
             principal(R1, "x"),

@@ -338,6 +338,21 @@ class TestParsing:
             f = _rand(rng, ring)
             assert ring(str(f)) == f
 
+    def test_generators_are_built_once_and_shared(self):
+        # the parser reads a generator per variable token; sharing one tuple
+        # is safe because a Poly never changes
+        ring = Ring(p=3, var_names=("x", "y"))
+        assert ring.gens is ring.gens
+        cases = {
+            "x^2*y + 2*x": "x^2*y + 2*x",
+            "(x + y)^3": "x^3 + y^3",
+            "x*x*y - y": "x^2*y + 2*y",
+        }
+        for _ in range(2):
+            assert {text: str(ring(text)) for text in cases} == cases
+        assert ring.gens == (ring.monomial((1, 0)), ring.monomial((0, 1)))
+        assert [str(g) for g in ring.gens] == ["x", "y"]
+
     def test_accepts_int_and_poly(self):
         assert R2(1) == R2.one
         x, _ = R2.gens
