@@ -22,7 +22,7 @@ membership, intersection and quotients are all exact decisions.
 Intersections and quotients have one general route, the auxiliary-variable
 elimination (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
 ch. 4).  Exact shortcuts come first and never compute a basis of their own:
-monomial ideals meet in the lcms of their generators, (m_i) ∩ (n_j) =
+monomial ideals meet in a side the other contains, else (m_i) ∩ (n_j) =
 (lcm(m_i, n_j)), and divide by a monomial termwise, (m_i) : n =
 (m_i / gcd(m_i, n)); an ideal inside one whose reduced basis is cached is
 the intersection; and (I : f) is (1) when f lies in I and I's basis is
@@ -405,7 +405,7 @@ class Ideal:
         basis of its own:
 
         - when both ideals are monomial (all generators, or all elements of
-          a cached basis, are single terms), (m_i) ∩ (n_j) = (lcm(m_i, n_j));
+          a cached basis, are single terms), a contained side, else (lcm(m_i, n_j));
         - when J's reduced basis is cached and I ⊆ J, the answer is I, and
           the same holds with the two sides swapped.
 
@@ -414,11 +414,14 @@ class Ideal:
         """
         check_member(other, Ideal, "the other ideal", self.ring)
         if not self.gens or not other.gens:
-            return Ideal(self.ring, ())
+            return other if self.gens else self
         mine = self._monomials()
         if mine is not None:
             theirs = other._monomials()
             if theirs is not None:
+                for side, inner, outer in ((self, mine, theirs), (other, theirs, mine)):
+                    if all(any(_monomial_divides(n, m) for n in outer) for m in inner):
+                        return side
                 return _monomial_ideal(
                     self.ring, (_monomial_lcm(a, b) for a in mine for b in theirs)
                 )

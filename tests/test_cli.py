@@ -814,15 +814,15 @@ class TestInvariantFailure:
     # must report it as a typed error, never as a traceback.
     @pytest.fixture(autouse=True)
     def broken_certificate(self, monkeypatch):
-        certify = FrobModule.certify
+        certificate = FrobModule._certificate
 
-        def broken(module):
-            cert = certify(module)
+        def broken(module, kernel, shrunk):
+            cert = certificate(module, kernel, shrunk)
             if module.multiplier == module.ring("x^2"):
                 return Certificate(structural_map_injective=False, fr_fixed=cert.fr_fixed)
             return cert
 
-        monkeypatch.setattr(FrobModule, "certify", broken)
+        monkeypatch.setattr(FrobModule, "_certificate", broken)
 
     def test_json_error_record(self, capsys):
         code, record, err = run_json(

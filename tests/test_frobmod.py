@@ -553,19 +553,46 @@ class TestMinimalize:
         assert report.kernel_chain_length == 1
 
 
-    def test_fixed_point_is_checked_once_by_the_walk_and_once_by_the_certificate(
-        self, monkeypatch
-    ):
-        calls = counted_steps(monkeypatch, "shrink_step")
+    @staticmethod
+    def stepping_modules():
+        # no shrink, one shrink, three shrinks, and a chain climbing 4 levels
         (x,) = R1.gens
-        for module in (
-            principal(R1, "x"),
-            principal(R1, "x^2"),
-            FrobModule(Ideal(R1, (x**6,)), Ideal(R1, (R1.one,)), x**6),
-        ):
+        yield principal(R1, "x")
+        yield principal(R1, "x^2")
+        yield FrobModule(Ideal(R1, (x**6,)), Ideal(R1, (R1.one,)), x**6)
+        yield FrobModule(Ideal(R1, (x**8,)), Ideal(R1, (R1.one,)), x**9)
+        yield from module_pool(137, 12, POOL_RINGS)
+
+    def test_fixed_point_is_checked_once_by_the_walk(self, monkeypatch):
+        # the shrinking walk's last step is the certificate's fixedness
+        calls = counted_steps(monkeypatch, "shrink_step")
+        for module in self.stepping_modules():
             calls.clear()
             report = module.minimalize()
-            assert len(calls) == report.fr_iterations + 2
+            assert len(calls) == report.fr_iterations + 1
+
+    def test_kernel_steps_are_the_chain_walks_alone(self, monkeypatch):
+        # the chain's last colon is the certificate's injectivity
+        calls = counted_steps(monkeypatch, "kernel_step")
+        for module in self.stepping_modules():
+            calls.clear()
+            module._kernel_chain()
+            chain_calls = list(calls)
+            calls.clear()
+            module.minimalize()
+            assert calls == chain_calls
+
+    def test_certify_on_the_result_runs_both_steps_afresh(self, monkeypatch):
+        # nothing minimalize computed is kept on the module it returns
+        kernels = counted_steps(monkeypatch, "kernel_step")
+        shrinks = counted_steps(monkeypatch, "shrink_step")
+        for module in self.stepping_modules():
+            result = module.minimalize().result
+            kernels.clear()
+            shrinks.clear()
+            assert result.certify().holds
+            assert kernels == [(result.multiplier, result.relations)]
+            assert shrinks == [(result.relations, result.multiplier, result.ambient)]
 
 
 class TestIsMinimal:

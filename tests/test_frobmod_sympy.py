@@ -8,7 +8,9 @@ re-derives, for seeded module pools:
 - the stabilized kernel chain K_{e+1} = (K_e^[q] : f) from the relations,
   and its length, the first e >= 1 at which it repeats;
 - fixedness of the minimal pair (K, J): K + root(f J) = J;
-- injectivity: (K^[q] : f) meet J = K.
+- injectivity: (K^[q] : f) meet J = K;
+- the nilpotency order, from its definition: the least e with
+  f^(1+q+...+q^(e-1)) * ambient inside relations^[q^e].
 
 Bracket powers and Frobenius roots are plain dicts of exponent tuples:
 over F_p the coefficients are fixed by the q-th power map, so g^[q] scales
@@ -129,6 +131,72 @@ def _check(module: FrobModule) -> None:
     preimage = _kernel_step(K, f, syms, p, q)
     meet = _sympy_intersection(preimage, J, syms, p) if preimage and J else []
     assert _key(meet, syms, p) == _key(K, syms, p), module
+
+
+def _inside(exprs: list, ideal: list, syms, p: int) -> bool:
+    # membership of every expression by sympy reduction modulo a basis
+    nonzero = [g for g in ideal if sympy.expand(g) != 0]
+    if not nonzero:
+        return all(sympy.expand(g) == 0 for g in exprs)
+    basis = sympy.groebner(nonzero, *syms, modulus=p, order=ORDER)
+    return all(basis.reduce(g)[1] == 0 for g in exprs)
+
+
+def _nilpotency_order(module: FrobModule, e_max: int) -> int | None:
+    """The least e <= e_max with f^(1+q+...+q^(e-1)) * ambient <= relations^[q^e].
+
+    None when no e <= e_max qualifies, found early when the level-e image
+    J_e = relations + root_e(f^(1+...+q^(e-1)) * ambient) repeats: on a
+    valid module J_(e+1) = relations + root(f * J_e), so once two images
+    agree every later one equals them, and J_e != relations is exactly the
+    failed containment at e.
+    """
+    ring = module.ring
+    p, q = ring.p, ring.q
+    syms = sympy.symbols(ring.var_names)
+    f = _to_sympy(module.multiplier._terms, syms)
+    relations = _exprs(module.relations, syms)
+    ambient = _exprs(module.ambient, syms)
+    image = None
+    for e in range(1, e_max + 1):
+        level = q**e
+        moved = [sympy.expand(f ** ((level - 1) // (q - 1)) * g) for g in ambient]
+        if _inside(moved, _bracket(relations, syms, p, level), syms, p):
+            return e
+        image, last = _key(relations + _root(moved, syms, p, level), syms, p), image
+        if image == last:
+            return None
+    return None
+
+
+def _check_order(module: FrobModule) -> None:
+    for e_max in (32, 2):
+        assert module.nilpotency_order(e_max) == _nilpotency_order(module, e_max), module
+
+
+@pytest.mark.parametrize("seed", [131, 137, 505])
+def test_pool_nilpotency_orders_match_the_definition(seed):
+    for module in module_pool(seed, 40, POOL_RINGS):
+        _check_order(module)
+
+
+def test_long_nilpotency_orders_match_the_definition():
+    # orders 4 (None within 2), never (after three shrinks), 1 for the
+    # zero module, and 3 over two variables at p = 3
+    R1, R3 = POOL_RINGS[0], POOL_RINGS[3]
+    (x,) = R1.gens
+    one = Ideal(R1, (R1.one,))
+    x3, y3 = R3.gens
+    orders = []
+    for module in (
+        FrobModule(Ideal(R1, (x**8,)), one, x**9),
+        FrobModule(Ideal(R1, (x**6,)), one, x**6),
+        FrobModule(Ideal(R1, (x,)), Ideal(R1, (x,)), x),
+        FrobModule.validate(Ideal(R3, (x3**5,)), Ideal(R3, (x3, y3)), x3**11 * y3),
+    ):
+        _check_order(module)
+        orders.append(module.nilpotency_order())
+    assert orders == [4, None, 1, 3]
 
 
 @pytest.mark.parametrize("seed", [131, 137, 505])

@@ -549,6 +549,26 @@ class TestShortcutsAgreeWithElimination:
             assert tuple(m.groebner() for m in fast) == meets
 
     @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_a_contained_or_empty_side_is_returned(self, ring):
+        # multiples of the other side's monomials, and the zero ideal, meet
+        # it in themselves: the shortcut returns that side, builds no ideal
+        rng = random.Random(83 + ring.p)
+        zero = Ideal(ring, ())
+        for _ in range(15):
+            big = Ideal(ring, [rand_monomial(rng, ring, 3) for _ in range(rng.randint(1, 3))])
+            small = Ideal(ring, [rand_monomial(rng, ring, 2) * rng.choice(big.gens)
+                                 for _ in range(rng.randint(1, 3))])
+            binomial = _binomial_ideal(rng, ring)
+            for a, b in ((small, big), (big, small), (zero, big), (big, zero),
+                         (zero, binomial), (binomial, zero)):
+                meet = _meet_by_elimination(a, b).groebner()
+                inner = a if Ideal(ring, a.gens) <= Ideal(ring, b.gens) else b
+                with spair_budget(0):
+                    fast = a.intersection(b)
+                assert fast is inner
+                assert fast.groebner() == meet
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
     def test_a_divisor_inside_a_cached_basis(self, ring):
         rng = random.Random(79 + ring.p)
         for _ in range(15):
