@@ -1,19 +1,36 @@
 """Decidable ideal arithmetic over F_p[x] via reduced Groebner bases.
 
-The engine is Buchberger's algorithm with one admission step (Gebauer and
-Moller, 1988): every input generator and every S-polynomial is reduced by
-the working basis, and a nonzero remainder joins it, monic, under the
-standard pair filters (the coprime-leading-monomial criterion, the lcm
-chain criterion, and pruning of pending pairs whose lcm the newcomer's
-leading monomial strictly refines).  A unit remainder ends the computation
-at once.  Pending pairs keep their lcm and wait in a heap keyed by its
-order key; the smallest is taken first (the normal selection strategy).
-When every input generator is a single term, the ideal is a monomial ideal
-and its reduced basis is its set of minimal generators (Dickson's lemma),
-so that branch keeps each monomial no smaller one divides and forms no
-pair, S-polynomial or division at all.  Division keeps its pending terms
-in a heap of order keys, and each divisor's leading data and keyed tail
-are cached on the polynomial (:meth:`Poly.reducer`).  No reduction or
+The engine is the incremental signature-based algorithm G2V (Gao, Guan
+and Volny, ISSAC 2010) with the cover criterion of GVW (Gao, Volny and
+Wang, *Math. Comp.* 2016).  The single-term generators seed the basis
+with their minimal monomials (Dickson's lemma) and form no pairs; when
+every generator is a single term, that is the answer, and no division or
+S-polynomial is computed.  The other generators join one at a time, in
+increasing leading-monomial order.  Each one, f, is reduced by the basis
+G so far.  From then on every new element h = u*f (mod G) carries its
+signature lm(u), and the J-pairs of a new element with any element (the
+S-polynomial, signed by its side of larger signature) are taken in
+increasing signature, one per signature: the one with the smallest lcm.
+Before it is reduced, a J-pair is dropped
+
+- by the syzygy criterion, when its signature is divisible by a leading
+  monomial of G, by the leading monomial of the principal syzygy of two
+  new elements, or by the signature of an earlier zero reduction, since
+  all of these lead elements of (G : f);
+- by the cover criterion, when an element whose signature divides the
+  J-pair's has, multiplied up to that signature, a leading monomial below
+  the J-pair's lcm.  That element would also make the reduced J-pair
+  singular top-reducible, so no such result is ever formed.
+
+Reduction is regular: a reducer's multiple must have a strictly smaller
+signature, which :func:`poly_division` enforces as one order-key bound
+per divisor.  A nonzero result joins the new elements, and a unit ends the
+computation at once.  After each generator, elements whose leading
+monomial another one divides leave the basis; after the last, one
+tail-reduction pass gives the reduced basis.  Division keeps its pending
+terms in a heap of order keys, and each divisor's leading data and keyed
+tail are cached on the polynomial (:meth:`Poly.reducer`).  Order keys are
+additive, so signatures are compared as integer keys.  No reduction or
 S-polynomial builds a term above ``MAX_TOTAL_DEGREE``; one that would
 raises :class:`ResourceError`.  Every ideal exposes its reduced basis,
 which is unique for a fixed monomial order, so ideal equality,
@@ -29,11 +46,13 @@ the intersection; and (I : f) is (1) when f lies in I and I's basis is
 cached.
 
 The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis
-computation; exceeding it raises :class:`ResourceError` with the partial
-basis.  All-monomial bases spend no S-pairs, so no cap refuses them; a
-cap that is not an integer >= 0 raises :class:`DomainError`.
-Library callers set it with ``MAX_SPAIRS.set`` and undo that with
-``MAX_SPAIRS.reset``; each thread keeps its own value.
+computation: the J-pairs that pass both criteria and are reduced.
+Exceeding it raises :class:`ResourceError` whose partial is the basis so
+far plus the generators not yet added, which together generate the ideal.
+All-monomial bases spend no S-pairs, so no cap refuses them; a cap that
+is not an integer >= 0 raises :class:`DomainError`.  Library callers set
+it with ``MAX_SPAIRS.set`` and undo that with ``MAX_SPAIRS.reset``; each
+thread keeps its own value.
 """
 
 from __future__ import annotations
@@ -52,9 +71,9 @@ from .errors import (
 )
 from .polyring import Exponents, Poly, Ring, check_degree
 
-# Cap on S-pairs per basis computation, read once per buchberger call; the
-# CLI's ``--budget-spairs`` sets it for one command.  All-monomial inputs
-# spend none.
+# Cap on the J-pairs reduced per basis computation, read once per
+# buchberger call; the CLI's ``--budget-spairs`` sets it for one command.
+# All-monomial inputs spend none.
 MAX_SPAIRS: ContextVar[int] = ContextVar("MAX_SPAIRS", default=200_000)
 
 
@@ -66,13 +85,26 @@ def _monomial_divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
 
 
+def _add_minimal(monos: list[Exponents], m: Exponents) -> None:
+    # keep ``monos`` the minimal generators of the monomial ideal they span
+    if not any(_monomial_divides(k, m) for k in monos):
+        monos[:] = [k for k in monos if not _monomial_divides(m, k)]
+        monos.append(m)
+
+
 def poly_division(
-    f: Poly, divisors: Sequence[Poly], with_quotients: bool = True
+    f: Poly,
+    divisors: Sequence[Poly],
+    with_quotients: bool = True,
+    below: Sequence[int] | None = None,
 ) -> tuple[list[Poly], Poly]:
     """Multivariate division: ``f = sum(q_i * d_i) + r``.
 
     No term of the remainder is divisible by any divisor's leading
     monomial, and every ``q_i * d_i`` has leading monomial <= that of f.
+    With ``below``, divisor i reduces only the terms whose order key is
+    below ``below[i]``, and the remainder's other terms may be divisible
+    by it; :func:`buchberger` reduces regularly this way.
     Divisors must be nonzero and share f's ring.  Raises
     :class:`ResourceError` before a reduction would build a term above
     ``MAX_TOTAL_DEGREE``.
@@ -90,6 +122,8 @@ def poly_division(
         if not d:
             raise DomainError("cannot divide by the zero polynomial")
         reducers.append(d.reducer())
+    if below is not None and len(below) != len(reducers):
+        raise DomainError("division needs one key bound per divisor")
     quots: list[dict[Exponents, int]] | None = (
         [{} for _ in reducers] if with_quotients else None
     )
@@ -99,6 +133,8 @@ def poly_division(
     work = {k: f._terms[m] for k, m in monos.items()}
     heap = [-k for k in work]
     heapify(heap)
+    if below is None and heap:
+        below = [1 - heap[0]] * len(reducers)  # above every term reduced
     while heap:
         k = -heappop(heap)
         c = work.pop(k, 0)
@@ -107,7 +143,7 @@ def poly_division(
         m = monos[k]
         for i, (lm, lk, lc_inv, excess, tail) in enumerate(reducers):
             # every weight is positive, so lm | m implies lk <= k
-            if lk <= k and _monomial_divides(lm, m):
+            if lk <= k < below[i] and _monomial_divides(lm, m):
                 break
         else:
             rem[m] = c
@@ -186,93 +222,113 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     gens = list(gens)
     for g in gens:
         check_member(g, Poly, "a generator", ring)
-    if all(len(g) <= 1 for g in gens):
-        # A monomial ideal's reduced basis is its minimal generators
-        # (Dickson's lemma).  A proper divisor has smaller total degree, so
-        # in degree order every divisor of a monomial is seen before it; a
-        # constant comes first and leaves the unit basis (1).
-        monos = sorted({m for g in gens for m in g._terms}, key=sum)
-        minimal: list[Exponents] = []
-        for m in monos:
-            if not any(_monomial_divides(k, m) for k in minimal):
-                minimal.append(m)
-        minimal.sort(key=key, reverse=True)
-        return tuple(Poly(ring, {m: 1}, m) for m in minimal)
+    # The single-term generators span a monomial ideal, whose reduced basis
+    # is its minimal generators (Dickson's lemma).  A proper divisor has
+    # smaller total degree, so in degree order every divisor of a monomial
+    # is seen before it; a constant comes first and leaves the unit basis.
+    monos = sorted({m for g in gens if len(g._terms) == 1 for m in g._terms}, key=sum)
+    minimal: list[Exponents] = []
+    for m in monos:
+        if not any(_monomial_divides(k, m) for k in minimal):
+            minimal.append(m)
+    if minimal and not any(minimal[0]):
+        return (ring.one,)
+    minimal.sort(key=key, reverse=True)
+    basis = [Poly(ring, {m: 1}, m) for m in minimal]
+    rest = [g for g in gens if len(g._terms) > 1]
+    if not rest:
+        return tuple(basis)
+    rest.sort(key=lambda g: key(g.leading_monomial()))
 
-    polys: list[Poly] = []       # all monic polynomials ever admitted
-    lms: list[Exponents] = []    # their leading monomials
-    current: list[int] = []      # indices forming the working basis
-    pairs: dict[tuple[int, int], Exponents] = {}  # pending pair -> its lcm
-    queue: list[tuple[int, int, int]] = []        # (lcm key, i, j), lazily pruned
-
-    def admit(f: Poly) -> bool:
-        # Reduce f by the working basis only, so leading monomials stay
-        # pairwise indivisible; True when the remainder is a unit.  A
-        # nonzero remainder joins the basis, and the pair filters run: the
-        # chain criterion drops a new pair whose lcm another new pair's
-        # lcm divides (coprime partners still take part), the product
-        # criterion then drops coprime pairs, old pairs whose lcm the
-        # newcomer strictly refines are pruned, and basis elements whose
-        # leading monomial the newcomer divides retire.
-        if f:
-            f = normal_form(f, [polys[g] for g in current])
-        if not f:
-            return False
-        if f.is_constant():
-            return True
-        h = len(polys)
-        polys.append(f.monic())
-        mh = f.leading_monomial()
-        lms.append(mh)
-        lcm_h = {g: _monomial_lcm(lms[g], mh) for g in current}
-        candidates = list(current)
-        kept: list[int] = []
-        while candidates:
-            g = candidates.pop()
-            if not any(map(min, lms[g], mh)) or not any(
-                _monomial_divides(lcm_h[other], lcm_h[g])
-                for other in candidates + kept
-            ):
-                kept.append(g)
-        for (i, j), lcm in [*pairs.items()]:
-            if (
-                _monomial_divides(mh, lcm)
-                and _monomial_lcm(lms[i], mh) != lcm
-                and _monomial_lcm(lms[j], mh) != lcm
-            ):
-                del pairs[i, j]
-        for g in kept:
-            if any(map(min, lms[g], mh)):
-                pairs[g, h] = lcm_h[g]
-                heappush(queue, (key(lcm_h[g]), g, h))
-        current[:] = [g for g in current if not _monomial_divides(mh, lms[g])]
-        current.append(h)
-        return False
-
-    for g in gens:
-        if admit(g):
-            return (ring.one,)
-
-    processed = 0
-    while pairs:
-        _, i, j = heappop(queue)
-        if pairs.pop((i, j), None) is None:
-            continue  # pruned after it was queued
-        processed += 1
-        if processed > budget:
-            raise ResourceError(
-                f"S-pair budget of {budget} exceeded while computing a basis",
-                partial=tuple(polys[i] for i in current),
-            )
-        if admit(_spoly(polys[i], polys[j])):
-            return (ring.one,)
+    one = (0,) * ring.n
+    spent = 0
+    for pos, f in enumerate(rest):
+        # One G2V step.  ``basis`` is a Groebner basis of the ideal so far,
+        # and every new element h = u*f (mod that ideal), polys[old + c],
+        # carries its signature lm(u), as exponents in sigs[c] and as the
+        # key difference key(lm(u)) - key(lm(h)) in ratios[c].  The old
+        # basis has signature 0, below every new one.
+        f = normal_form(f, basis)
+        old = len(basis)
+        polys = basis
+        lms = [g.leading_monomial() for g in polys]
+        sigs: list[Exponents] = []
+        ratios: list[int] = []
+        syz = list(lms)  # leading monomials of known elements of (ideal so far : f)
+        queue: list[tuple[int, int, int, int, Exponents]] = []
+        h, t, tk, last = f, one, 0, None
+        while h:
+            la = h.leading_monomial()
+            if not any(la):
+                return (ring.one,)
+            a = len(polys)
+            ra = tk - key(la)
+            # J-pairs with every element, signed by the larger side, which
+            # is a's against an old element; with a new element b the
+            # principal syzygy h_b*u_a - h_a*u_b leads with lm(h_b)*lm(u_a)
+            # when a's side is larger, else the reverse
+            for b, lb in enumerate(lms):
+                lcm = _monomial_lcm(la, lb)
+                lck = key(lcm)
+                ta = lck + ra
+                if b >= old:
+                    sb = sigs[b - old]
+                    tb = lck + ratios[b - old]
+                    if ta < tb:
+                        _add_minimal(syz, tuple(map(add, la, sb)))
+                        heappush(queue, (tb, lck, b, a, tuple(map(add, map(sub, lcm, lb), sb))))
+                    if ta <= tb:
+                        continue
+                    _add_minimal(syz, tuple(map(add, lb, t)))
+                heappush(queue, (ta, lck, a, b, tuple(map(add, map(sub, lcm, la), t))))
+            polys.append(h.monic())
+            lms.append(la)
+            sigs.append(t)
+            ratios.append(ra)
+            h = None
+            while queue:
+                # the smallest signature next, with its smallest lcm, unless
+                # the syzygy or the cover criterion drops it
+                tk, lck, i, j, t = heappop(queue)
+                if tk == last:
+                    continue
+                last = tk
+                if any(_monomial_divides(s, t) for s in syz):
+                    continue
+                # new element c covers the pair when lm(u_c) divides t and
+                # (t / lm(u_c)) * lm(h_c) < lcm, that is ratio_c > tk - lck
+                cover = tk - lck
+                if any(r > cover and _monomial_divides(s, t) for r, s in zip(ratios, sigs)):
+                    continue
+                spent += 1
+                if spent > budget:
+                    raise ResourceError(
+                        f"S-pair budget of {budget} exceeded while computing a basis",
+                        partial=tuple(polys) + tuple(rest[pos + 1 :]),
+                    )
+                # regular reduction: a reducer's multiple must stay below the
+                # signature, so new element c reduces terms of key below
+                # tk - ratios[c]; an old one reduces every term, which lies
+                # below the lcm
+                h = _spoly(polys[i], polys[j])
+                if h:
+                    bounds = [lck] * old + [tk - r for r in ratios]
+                    h = poly_division(h, polys, False, bounds)[1]
+                    if h:
+                        break
+                _add_minimal(syz, t)
+        # keep the elements whose leading monomial no other one divides
+        basis, kept = [], []
+        for c in sorted(range(len(polys)), key=lambda c: sum(lms[c])):
+            if not any(_monomial_divides(k, lms[c]) for k in kept):
+                basis.append(polys[c])
+                kept.append(lms[c])
 
     # tail-reduce each survivor against the rest; leading monomials are
     # already pairwise indivisible, so one pass yields the reduced basis
-    final = [polys[g] for g in current]
     out: list[Poly] = []
-    for pos, g in enumerate(final):
-        others = final[:pos] + final[pos + 1 :]
+    for pos, g in enumerate(basis):
+        others = basis[:pos] + basis[pos + 1 :]
         r = normal_form(g, others)
         if r:
             out.append(r.monic())

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import itertools
+import pathlib
 import random
 import threading
 
@@ -94,6 +97,17 @@ class TestDivision:
             assert monic.leading_coeff() == 1
             assert monic * lc == g
 
+    def test_a_key_bound_keeps_the_terms_at_or_above_it(self):
+        x, y = R5.gens
+        key = R5.monomial_key()
+        f = x**2 + x * y + y
+        # x may reduce x*y but not x^2, whose key is the bound itself
+        quots, rem = poly_division(f, [x], below=[key((2, 0))])
+        assert rem == x**2 + y and quots[0] * x + rem == f
+        assert poly_division(f, [x], below=[key((2, 0)) + 1])[1] == y
+        with pytest.raises(DomainError, match="one key bound per divisor"):
+            poly_division(f, [x, y], below=[0])
+
     def test_divide_by_zero_rejected(self):
         x, _ = R2.gens
         with pytest.raises(DomainError):
@@ -167,18 +181,22 @@ class TestBuchberger:
         assert buchberger([R2.zero], R2) == ()
         assert buchberger([x, R2.one + x], R2) == (R2.one,)
 
-    def test_a_generator_reducing_to_a_unit_needs_no_pairs(self):
-        # the third generator reduces to 1 by the first two
+    def test_a_generator_reducing_to_a_unit_spends_no_pair_of_its_own(self):
+        # generators join in increasing leading-monomial order: x*y + 1 and
+        # x^2 + y spend one J-pair on y^2 - x, and then the third generator
+        # reduces to 1 by the basis so far, with no pair of its own
         x, y = R3.gens
         gens = [x**2 + y, x * y + 1, x**2 + x * y + y + 2]
-        with spair_budget(0):
+        with spair_budget(0), pytest.raises(ResourceError):
+            buchberger(gens, R3)
+        with spair_budget(1):
             assert buchberger(gens, R3) == (R3.one,)
 
     @pytest.mark.parametrize(
         "text,cap",
         [
-            ("x*y + z^2; y*z + x^2; x*z + y^2 + 1", 8),
-            ("x*y*z - 1; x^2 + y^2 + z^2; x + y + z", 2),
+            ("x*y + z^2; y*z + x^2; x*z + y^2 + 1", 4),
+            ("x*y*z - 1; x^2 + y^2 + z^2; x + y + z", 0),
             ("x + y", 0),
         ],
     )
@@ -296,6 +314,122 @@ class TestBuchberger:
                 for j in range(i + 1, len(gb)):
                     s = groebner._spoly(gb[i], gb[j])
                     assert not normal_form(s, list(gb))
+
+
+def counted_zero_remainders(monkeypatch):
+    # one flag per division the engine makes: True when the remainder is zero
+    zeros = []
+    divide = groebner.poly_division
+
+    def counted(*args, **kwargs):
+        out = divide(*args, **kwargs)
+        zeros.append(not out[1])
+        return out
+
+    monkeypatch.setattr(groebner, "poly_division", counted)
+    return zeros
+
+
+# Names of the pair loop the signature engine replaced: its admission
+# closure, its pending-pair dict and its working-basis index list.
+OLD_PAIR_LOOP = {"admit", "pairs", "current"}
+
+
+def pair_loop_leftovers(source: str) -> set[str]:
+    """Old pair-loop names defined or used in the body of ``buchberger``."""
+    (engine,) = (
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "buchberger"
+    )
+    names = set()
+    for node in ast.walk(engine):
+        if isinstance(node, ast.FunctionDef) and node is not engine:
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names & OLD_PAIR_LOOP
+
+
+CYCLIC_4 = (
+    "a + b + c + d",
+    "a*b + b*c + c*d + d*a",
+    "a*b*c + b*c*d + c*d*a + d*a*b",
+    "a*b*c*d - 1",
+)
+
+
+class TestSignatureEngine:
+    def test_the_old_pair_loop_is_gone(self):
+        source = pathlib.Path(groebner.__file__).read_text()
+        assert pair_loop_leftovers(source) == set()
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def buchberger(gens, ring):\n    def admit(f):\n        return f",
+            "def buchberger(gens, ring):\n    pairs = {}",
+            "def buchberger(gens, ring):\n    current.append(0)",
+        ],
+    )
+    def test_the_scan_finds_a_leftover(self, source):
+        assert pair_loop_leftovers(source)
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    def test_fifty_variables_keep_integer_signatures(self, order):
+        # order keys of degree >= 1 exceed every float here, so signature
+        # data must stay integers: two binomials and a monomial form J-pairs
+        # against a nonempty earlier basis
+        ring = Ring(p=32003, var_names=tuple(f"x{i}" for i in range(50)), order=order)
+        x = ring.gens
+        gens = [x[0] * x[1] + x[2], x[0] ** 2 + x[3], x[4]]
+        gb = buchberger(gens, ring)
+        assert len(gb) > len(gens) and gb == Ideal(ring, gb).groebner()
+        assert not any(normal_form(g, list(gb)) for g in gens)
+        assert not any(normal_form(groebner._spoly(f, g), list(gb)) for f in gb for g in gb)
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_a_budget_partial_still_generates_the_ideal(self, order):
+        # every cap below the one cyclic-4 needs stops it: in the third
+        # generator's step, while the last one still waits unchanged, or in
+        # the fourth's.  The basis so far plus the generators not yet added
+        # must still generate the ideal.
+        ring = Ring(p=32003, var_names=("a", "b", "c", "d"), order=order)
+        gens = [ring(t) for t in CYCLIC_4]
+        ideal = Ideal(ring, gens)
+        waiting = []
+        for cap in itertools.count():
+            with spair_budget(cap):
+                try:
+                    assert buchberger(gens, ring) == ideal.groebner()
+                    break
+                except ResourceError as exc:
+                    partial = exc.partial
+            assert Ideal(ring, partial) == ideal
+            waiting.append(gens[-1] in partial)
+        assert waiting[0] and not waiting[-1]
+
+    def test_a_regular_sequence_reduces_nothing_to_zero(self, monkeypatch):
+        # three generic quadrics in three variables: every J-pair that would
+        # reduce to zero has a principal syzygy's signature
+        ring = Ring(p=32003, var_names=("x", "y", "z"))
+        rng = random.Random(19)
+        quadrics = [m for m in itertools.product(range(3), repeat=3) if sum(m) == 2]
+        gens = [
+            ring.poly({m: rng.randrange(1, ring.p) for m in quadrics}) for _ in range(3)
+        ]
+        zeros = counted_zero_remainders(monkeypatch)
+        gb = buchberger(gens, ring)
+        assert len(gb) > 3 and zeros and not any(zeros)
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_cyclic_4_spends_few_zero_reductions(self, monkeypatch, order):
+        # the pair-criteria Buchberger this engine replaced reduced 5
+        # (grevlex) and 8 (lex) polynomials to zero here
+        ring = Ring(p=32003, var_names=("a", "b", "c", "d"), order=order)
+        zeros = counted_zero_remainders(monkeypatch)
+        buchberger([ring(t) for t in CYCLIC_4], ring)
+        assert sum(zeros) <= 1
 
 
 def minimal_antichain(monomials):

@@ -5,8 +5,9 @@ so two independent engines must agree exactly: a reduced Groebner basis is
 unique for a fixed monomial order.  Intersections and colons are rederived
 on the sympy side by elimination (a basis in sympy's product order, the
 auxiliary variable first) and projected to the base ring before the reduced
-bases are compared.  Inputs are seeded random ideals, including all-monomial ones,
-at p in {2, 3, 5, 32003}, in grevlex and lex.  Seeded cases aim at each
+bases are compared.  Inputs are seeded random ideals, including all-monomial ones and
+systems of three to five generators, at p in {2, 3, 5, 32003}, in grevlex
+and lex.  Seeded cases aim at each
 shortcut that ``intersection`` and ``colon`` take before elimination:
 monomial formulas, containment in a cached basis, and f in I.
 """
@@ -88,9 +89,27 @@ def test_reduced_bases_match_sympy(order):
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_incremental_steps_match_sympy(order):
+    # three to five generators in three variables, a few of them single
+    # terms: the signature engine seeds its basis with the monomials and
+    # runs one incremental step per other generator
+    rng = random.Random(8114 if order == "grevlex" else 8115)
+    syms = sympy.symbols(NAMES)
+    for k in range(80):
+        p = PRIMES[k % len(PRIMES)]
+        ring = Ring(p=p, var_names=NAMES, order=order)
+        system = [
+            _random_terms(rng, p, 3, rng.random() < 0.2) for _ in range(rng.randint(3, 5))
+        ]
+        ours = buchberger([ring.poly(t) for t in system], ring)
+        theirs = _sympy_basis([_to_sympy(t, syms) for t in system], syms, p, order)
+        assert _fsing_basis(ours) == theirs, (p, order, system)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
 def test_redundant_presentations_give_the_same_basis(order):
-    # every generator goes through the same admission step, so reordered,
-    # duplicated or redundant generators must not change the answer
+    # the reduced basis is unique, so reordered, duplicated or redundant
+    # generators must not change the answer
     for rng, p, n in _systems(8106 if order == "grevlex" else 8107, 24):
         ring = Ring(p=p, var_names=NAMES[:n], order=order)
         syms = sympy.symbols(NAMES[:n])
