@@ -29,10 +29,11 @@ import json
 import math
 import sys
 import time
+from itertools import islice
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, FSingError, ParseError, ResourceError
-from .frobmod import FrobModule
+from .frobmod import FrobModule, walk
 from .frobroot import ideal_root
 from .groebner import MAX_SPAIRS, Ideal
 from .oracle import (
@@ -210,15 +211,8 @@ def _cmd_verify(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
     record("root-bracket-containment", all(bracket.contains(g) for g in ideal.gens))
 
     if level >= 2:
-        iterated = ideal
-        # not on frobmod.walk: its == builds a basis per root (cli-batch bases 779 -> 809)
-        for _ in range(level):
-            nxt = ideal_root(iterated, 1)
-            # a root that returns its input's generators is a fixed point,
-            # so every later root returns them too
-            if nxt.gens == iterated.gens:
-                break
-            iterated = nxt
+        roots = walk(functools.partial(ideal_root, e=1), ideal)
+        *_, iterated = islice(roots, level + 1)
         record("iterated-root-agreement", iterated == root)
     else:
         record("iterated-root-agreement", None)

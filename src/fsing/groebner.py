@@ -36,14 +36,16 @@ raises :class:`ResourceError`.  Every ideal exposes its reduced basis,
 which is unique for a fixed monomial order, so ideal equality,
 membership, intersection and quotients are all exact decisions.
 
-Intersections and quotients have one general route, the auxiliary-variable
-elimination (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
-ch. 4).  Exact shortcuts come first and never compute a basis of their own:
+Intersection owns the exact shortcuts and the one general route, the
+auxiliary-variable elimination (Cox, Little and O'Shea, *Ideals,
+Varieties, and Algorithms*, ch. 4).  The shortcuts come first and never
+compute a basis of their own: an empty side is the intersection;
 monomial ideals meet in a side the other contains, else (m_i) ∩ (n_j) =
-(lcm(m_i, n_j)), and divide by a monomial termwise, (m_i) : n =
-(m_i / gcd(m_i, n)); an ideal inside one whose reduced basis is cached is
-the intersection; and (I : f) is (1) when f lies in I and I's basis is
-cached.
+(lcm(m_i, n_j)); and an ideal inside one whose reduced basis is cached is
+the intersection.  A quotient is (I : f) = (I ∩ (f)) / f: colon divides
+each generator of the intersection by f, so the shortcuts serve it too.
+Dividing by a monomial n gives (m_i / gcd(m_i, n)), and f in I with I's
+basis cached gives (f) / f = (1).
 
 The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis
 computation: the J-pairs that pass both criteria and are reduced.
@@ -86,10 +88,13 @@ def _monomial_divides(a: Exponents, b: Exponents) -> bool:
 
 
 def _add_minimal(monos: list[Exponents], m: Exponents) -> None:
-    # keep ``monos`` the minimal generators of the monomial ideal they span
-    if not any(_monomial_divides(k, m) for k in monos):
-        monos[:] = [k for k in monos if not _monomial_divides(m, k)]
-        monos.append(m)
+    # keep ``monos`` the minimal generators of the monomial ideal they span;
+    # divisibility is tested inline, as this runs once per pair of monomials
+    for k in monos:
+        if all(map(le, k, m)):
+            return
+    monos[:] = [k for k in monos if not all(map(le, m, k))]
+    monos.append(m)
 
 
 def poly_division(
@@ -223,14 +228,12 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     for g in gens:
         check_member(g, Poly, "a generator", ring)
     # The single-term generators span a monomial ideal, whose reduced basis
-    # is its minimal generators (Dickson's lemma).  A proper divisor has
-    # smaller total degree, so in degree order every divisor of a monomial
-    # is seen before it; a constant comes first and leaves the unit basis.
-    monos = sorted({m for g in gens if len(g._terms) == 1 for m in g._terms}, key=sum)
+    # is its minimal generators (Dickson's lemma).  In degree order none
+    # divides one added before it, so none is added and then dropped; a
+    # constant comes first and leaves the unit basis.
     minimal: list[Exponents] = []
-    for m in monos:
-        if not any(_monomial_divides(k, m) for k in minimal):
-            minimal.append(m)
+    for m in sorted({m for g in gens if len(g._terms) == 1 for m in g._terms}, key=sum):
+        _add_minimal(minimal, m)
     if minimal and not any(minimal[0]):
         return (ring.one,)
     minimal.sort(key=key, reverse=True)
@@ -402,17 +405,13 @@ class Ideal:
         check_member(other, Ideal, "the other ideal", self.ring)
         return all(other.contains(g) for g in self.gens)
 
-    def __ge__(self, other: "Ideal") -> bool:
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return other.__le__(self)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Ideal):
             return NotImplemented
         if other.ring != self.ring:
             return False
-        return self.groebner() == other.groebner()
+        # equal generators need no basis
+        return self.gens == other.gens or self.groebner() == other.groebner()
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -490,32 +489,16 @@ class Ideal:
     def colon(self, f: Poly) -> "Ideal":
         """The quotient (I : f) = {g : g*f in I}; f must be nonzero.
 
-        Two shortcuts come before the general route, and neither computes a
-        basis of its own:
-
-        - when I and f are monomial, (m_i) : n = (m_i / gcd(m_i, n));
-        - when I's reduced basis is cached and f ∈ I, the answer is (1).
-
-        Everything else divides the generators of I ∩ (f), found by the
-        elimination :meth:`intersection` uses, by f.
+        The exact quotient of I ∩ (f) by f: each generator of the
+        intersection is divided by f, so every shortcut of
+        :meth:`intersection` serves the quotient too.
         """
         check_member(f, Poly, "the divisor", self.ring)
         if not f:
             raise DomainError("ideal quotient by the zero polynomial")
         ring = self.ring
-        if not self.gens:
-            return Ideal(ring, ())
-        if len(f) == 1:
-            mine = self._monomials()
-            if mine is not None:
-                n = f.leading_monomial()
-                return _monomial_ideal(
-                    ring, (tuple(map(sub, m, map(min, m, n))) for m in mine)
-                )
-        if self._gb is not None and self.contains(f):
-            return Ideal(ring, (ring.one,))
         out: list[Poly] = []
-        for g in self._eliminate(Ideal._of_checked(ring, (f,))):
+        for g in self.intersection(Ideal._of_checked(ring, (f,))).gens:
             quots, rem = poly_division(g, [f])
             if rem:
                 raise InvariantError(
@@ -523,7 +506,7 @@ class Ideal:
                     "by its generator"
                 )
             out.append(quots[0])
-        return Ideal(ring, out)
+        return Ideal._of_checked(ring, tuple(out))
 
     def _eliminate(self, other: "Ideal") -> list[Poly]:
         # Generators of I ∩ J: the reduced basis of t·I + (1 - t)·J in the

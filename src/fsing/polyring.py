@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 from .errors import DomainError, ParseError, ResourceError, check_int, check_member
 
@@ -529,7 +529,7 @@ class _PolyParser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str) -> NoReturn:
         kind, value, at = self.peek()
         shown = value if kind != "end" else "end of input"
         raise ParseError(f"{message} (found {shown!r} at position {at})")
@@ -611,7 +611,6 @@ class _PolyParser:
             return inner
         self.pos -= 1
         self.fail("expected a number, variable or parenthesized expression")
-        raise AssertionError("unreachable")
 
 
 def parse_poly(ring: Ring, text: str) -> Poly:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.metadata
+import inspect
 import io
 import json
 import os
@@ -849,6 +851,21 @@ class TestInvariantFailure:
         }
 
 
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def root_loops(source: str) -> int:
+    """The loops in ``source`` whose body calls ``ideal_root``."""
+    return sum(
+        any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "ideal_root"
+            for n in ast.walk(loop)
+        )
+        for loop in ast.walk(ast.parse(source))
+        if isinstance(loop, LOOPS)
+    )
+
+
 class TestVerify:
     def test_monomial_input_all_checks(self, capsys):
         code, record, _ = run_json(
@@ -896,6 +913,22 @@ class TestVerify:
         assert code == 0
         assert "root-bracket-containment: passed" in out
         assert "all passed: True" in out
+
+    def test_the_iterated_roots_run_on_the_walk(self):
+        source = textwrap.dedent(inspect.getsource(cli._cmd_verify))
+        assert root_loops(source) == 0
+        assert "walk" in {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
+
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            "for _ in range(level):\n        ideal = ideal_root(ideal, 1)",
+            "while ideal != root:\n        ideal = ideal_root(ideal, 1)",
+            "roots = [ideal_root(ideal, e) for e in range(level)]",
+        ],
+    )
+    def test_the_scan_finds_a_root_loop(self, loop):
+        assert root_loops(f"def verify(ideal, level, root):\n    {loop}\n") == 1
 
     @staticmethod
     def _count_roots(monkeypatch) -> list[int]:

@@ -545,6 +545,15 @@ class TestIdealEquality:
                 mixed[0] = gens[0] + gens[1]
             assert Ideal(R3, mixed) == ideal
 
+    def test_equal_generators_need_no_basis(self):
+        # the textbook pair needs an S-pair, which a cap of 0 refuses
+        x, y = R5.gens
+        gens = (x**2 + y, x * y + x)
+        with spair_budget(0):
+            with pytest.raises(ResourceError):
+                Ideal(R5, gens).groebner()
+            assert Ideal(R5, gens) == Ideal(R5, gens)
+
     def test_cross_ring_equality_is_false(self):
         assert Ideal(R2, R2.gens) != Ideal(R3, R3.gens)
 
@@ -588,7 +597,84 @@ class TestIntersection:
         assert lhs.intersection(rhs) == Ideal(ring, (t * x,))
 
 
+# Names of the routes colon kept before it became the quotient of the
+# intersection: the elimination, the monomial formula and the containment test.
+OLD_COLON_ROUTES = {"_eliminate", "_monomials", "_monomial_ideal", "contains"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    # every bare name and attribute name used under ``node``
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def colon_routes(source: str) -> tuple[bool, set[str]]:
+    """Whether ``Ideal.colon`` calls ``intersection``, and the old routes it names."""
+    (ideal,) = (
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == "Ideal"
+    )
+    (colon,) = (
+        node for node in ideal.body if isinstance(node, ast.FunctionDef) and node.name == "colon"
+    )
+    calls = {
+        n.func.attr
+        for n in ast.walk(colon)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    }
+    return "intersection" in calls, _names(colon) & OLD_COLON_ROUTES
+
+
+def eliminating_functions(source: str) -> set[str]:
+    """Qualified names of the functions that call ``_eliminate``."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and "_eliminate" in _names(child.func):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
 class TestColon:
+    def test_colon_is_the_quotient_of_the_intersection(self):
+        source = pathlib.Path(groebner.__file__).read_text()
+        assert colon_routes(source) == (True, set())
+        assert eliminating_functions(source) == {"Ideal.intersection"}
+
+    @pytest.mark.parametrize(
+        "body, found",
+        [
+            ("return self.intersection(f)", (True, set())),
+            ("return self._eliminate(f)", (False, {"_eliminate"})),
+            ("if self.contains(f):\n            return self\n"
+             "        return self.intersection(f)", (True, {"contains"})),
+            ("return _monomial_ideal(self.ring, self._monomials())",
+             (False, {"_monomial_ideal", "_monomials"})),
+        ],
+    )
+    def test_the_scan_sees_each_route(self, body, found):
+        source = f"class Ideal:\n    def colon(self, f):\n        {body}\n"
+        assert colon_routes(source) == found
+
+    def test_the_scan_finds_a_second_elimination(self):
+        source = (
+            "class Ideal:\n"
+            "    def intersection(self, other):\n        return self._eliminate(other)\n"
+            "    def colon(self, f):\n        return _eliminate(self, f)\n"
+        )
+        assert eliminating_functions(source) == {"Ideal.intersection", "Ideal.colon"}
+
     def test_example(self):
         x, y = R2.gens
         assert Ideal(R2, (x**2 + x * y,)).colon(x) == Ideal(R2, (x + y,))
