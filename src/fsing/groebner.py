@@ -14,9 +14,10 @@ increasing signature, one per signature: the one with the smallest lcm.
 Before it is reduced, a J-pair is dropped
 
 - by the syzygy criterion, when its signature is divisible by a leading
-  monomial of G, by the leading monomial of the principal syzygy of two
-  new elements, or by the signature of an earlier zero reduction, since
-  all of these lead elements of (G : f);
+  monomial of G or by the signature of an earlier zero reduction, since
+  both lead elements of (G : f).  The principal syzygy h_b*u_a - h_a*u_b
+  of two new elements lies in G's ideal, as h = u*f modulo it, so G's
+  leading monomials already cover its leading monomial;
 - by the cover criterion, when an element whose signature divides the
   J-pair's has, multiplied up to that signature, a leading monomial below
   the J-pair's lcm.  That element would also make the reduced J-pair
@@ -24,17 +25,30 @@ Before it is reduced, a J-pair is dropped
 
 Reduction is regular: a reducer's multiple must have a strictly smaller
 signature, which :func:`poly_division` enforces as one order-key bound
-per divisor.  A nonzero result joins the new elements, and a unit ends the
-computation at once.  After each generator, elements whose leading
+per divisor.  A nonzero result joins the new elements, and a unit ends a
+basis computation at once.  After each generator, elements whose leading
 monomial another one divides leave the basis; after the last, one
 tail-reduction pass gives the reduced basis.  Division keeps its pending
 terms in a heap of order keys, and each divisor's leading data and keyed
 tail are cached on the polynomial (:meth:`Poly.reducer`).  Order keys are
-additive, so signatures are compared as integer keys.  No reduction or
-S-polynomial builds a term above ``MAX_TOTAL_DEGREE``; one that would
-raises :class:`ResourceError`.  Every ideal exposes its reduced basis,
-which is unique for a fixed monomial order, so ideal equality,
-membership, intersection and quotients are all exact decisions.
+additive, so signatures are compared as integer keys.  No reduction,
+S-polynomial or cofactor product builds a term above ``MAX_TOTAL_DEGREE``;
+one that would raises :class:`ResourceError`.  Every ideal exposes its
+reduced basis, which is unique for a fixed monomial order, so ideal
+equality, membership, intersection and quotients are all exact decisions.
+
+A quotient (G : f) is read off the same step, run once on G's reduced
+basis with every new element carrying its whole cofactor u (Gao, Guan and
+Volny).  The elements of (G : f) it meets lead the syzygy criterion's
+monomials: G's own elements, and the cofactor of each J-pair that
+reduces to zero, less q_c*u_c for each new divisor c of that reduction.  A unit does not end this step.
+At its end the syzygy criterion's minimal monomials generate the leading
+monomials of (G : f), so their elements, tail-reduced, are its reduced
+basis.  A lex or elim ring runs the step in its grevlex copy, since in
+those orders the step would also build their costly basis of G + (f).
+Before the step, colon takes two shortcuts that compute no basis: a
+monomial ideal divided by a monomial n is (m_i / gcd(m_i, n)), and f in I
+with I's basis cached gives (1).
 
 Intersection owns the exact shortcuts and the one general route, the
 auxiliary-variable elimination (Cox, Little and O'Shea, *Ideals,
@@ -42,15 +56,15 @@ Varieties, and Algorithms*, ch. 4).  The shortcuts come first and never
 compute a basis of their own: an empty side is the intersection;
 monomial ideals meet in a side the other contains, else (m_i) ∩ (n_j) =
 (lcm(m_i, n_j)); and an ideal inside one whose reduced basis is cached is
-the intersection.  A quotient is (I : f) = (I ∩ (f)) / f: colon divides
-each generator of the intersection by f, so the shortcuts serve it too.
-Dividing by a monomial n gives (m_i / gcd(m_i, n)), and f in I with I's
-basis cached gives (f) / f = (1).
+the intersection.
 
-The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis
-computation: the J-pairs that pass both criteria and are reduced.
+The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis or
+quotient computation: the J-pairs that pass both criteria and are reduced.
 Exceeding it raises :class:`ResourceError` whose partial is the basis so
-far plus the generators not yet added, which together generate the ideal.
+far plus the generators not yet added, which together generate the ideal;
+for a quotient, the elements of it found so far, and for an elimination,
+the elements of the basis so far that are free of the auxiliary variable,
+both in the caller's ring.
 All-monomial bases spend no S-pairs, so no cap refuses them; a cap that
 is not an integer >= 0 raises :class:`DomainError`.  Library callers set
 it with ``MAX_SPAIRS.set`` and undo that with ``MAX_SPAIRS.reset``; each
@@ -60,6 +74,7 @@ thread keeps its own value.
 from __future__ import annotations
 
 from contextvars import ContextVar
+from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Sequence
@@ -71,10 +86,10 @@ from .errors import (
     check_int,
     check_member,
 )
-from .polyring import Exponents, Poly, Ring, check_degree
+from .polyring import Exponents, MonomialKey, Poly, Ring, check_degree
 
-# Cap on the J-pairs reduced per basis computation, read once per
-# buchberger call; the CLI's ``--budget-spairs`` sets it for one command.
+# Cap on the J-pairs reduced per basis or quotient computation, read once
+# per buchberger or colon call; the CLI's ``--budget-spairs`` sets it for one command.
 # All-monomial inputs spend none.
 MAX_SPAIRS: ContextVar[int] = ContextVar("MAX_SPAIRS", default=200_000)
 
@@ -95,6 +110,23 @@ def _add_minimal(monos: list[Exponents], m: Exponents) -> None:
             return
     monos[:] = [k for k in monos if not all(map(le, m, k))]
     monos.append(m)
+
+
+def _add_product(
+    acc: dict[Exponents, int], p: int, a: dict[Exponents, int], b: Poly, scale: int = 1
+) -> None:
+    # acc += scale * a * b in place, where a is a term dict; within the
+    # degree guard
+    check_degree(max(map(sum, a)) + b.total_degree())
+    for m1, c1 in a.items():
+        c1 = c1 * scale % p
+        for m2, c2 in b._terms.items():
+            m = tuple(map(add, m1, m2))
+            v = (acc.get(m, 0) + c1 * c2) % p
+            if v:
+                acc[m] = v
+            elif m in acc:
+                del acc[m]
 
 
 def poly_division(
@@ -213,6 +245,25 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     return Poly(f.ring, out)
 
 
+def _monomial_basis(ring: Ring, monos: set[Exponents]) -> tuple[Poly, ...]:
+    # The reduced basis of a monomial ideal is its minimal generators
+    # (Dickson's lemma).  In degree order none divides one added before it,
+    # so none is added and then dropped; a constant leaves the unit basis.
+    minimal: list[Exponents] = []
+    for m in sorted(monos, key=sum):
+        _add_minimal(minimal, m)
+    if len(minimal) > 1:
+        minimal.sort(key=ring.monomial_key(), reverse=True)
+    return tuple([Poly(ring, {m: 1}, m) for m in minimal])
+
+
+def _spair_budget() -> int:
+    # the S-pair cap in force, read once per basis or quotient computation
+    budget = MAX_SPAIRS.get()
+    check_int(budget, "the S-pair budget", 0)
+    return budget
+
+
 def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
@@ -221,113 +272,167 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     When every generator is a single term, the basis is read off by
     divisibility alone: no pair is formed and no S-pair is spent.
     """
-    budget = MAX_SPAIRS.get()
-    check_int(budget, "the S-pair budget", 0)
+    budget = _spair_budget()
     key = ring.monomial_key()
     gens = list(gens)
     for g in gens:
         check_member(g, Poly, "a generator", ring)
-    # The single-term generators span a monomial ideal, whose reduced basis
-    # is its minimal generators (Dickson's lemma).  In degree order none
-    # divides one added before it, so none is added and then dropped; a
-    # constant comes first and leaves the unit basis.
-    minimal: list[Exponents] = []
-    for m in sorted({m for g in gens if len(g._terms) == 1 for m in g._terms}, key=sum):
-        _add_minimal(minimal, m)
-    if minimal and not any(minimal[0]):
-        return (ring.one,)
-    minimal.sort(key=key, reverse=True)
-    basis = [Poly(ring, {m: 1}, m) for m in minimal]
+    # the single-term generators seed the basis with the reduced basis of
+    # the monomial ideal they span
+    basis = _monomial_basis(ring, {m for g in gens if len(g._terms) == 1 for m in g._terms})
+    if basis and not any(basis[0].leading_monomial()):
+        return basis
     rest = [g for g in gens if len(g._terms) > 1]
     if not rest:
-        return tuple(basis)
+        return basis
     rest.sort(key=lambda g: key(g.leading_monomial()))
-
-    one = (0,) * ring.n
     spent = 0
     for pos, f in enumerate(rest):
-        # One G2V step.  ``basis`` is a Groebner basis of the ideal so far,
-        # and every new element h = u*f (mod that ideal), polys[old + c],
-        # carries its signature lm(u), as exponents in sigs[c] and as the
-        # key difference key(lm(u)) - key(lm(h)) in ratios[c].  The old
-        # basis has signature 0, below every new one.
-        f = normal_form(f, basis)
-        old = len(basis)
-        polys = basis
-        lms = [g.leading_monomial() for g in polys]
-        sigs: list[Exponents] = []
-        ratios: list[int] = []
-        syz = list(lms)  # leading monomials of known elements of (ideal so far : f)
-        queue: list[tuple[int, int, int, int, Exponents]] = []
-        h, t, tk, last = f, one, 0, None
-        while h:
-            la = h.leading_monomial()
-            if not any(la):
-                return (ring.one,)
-            a = len(polys)
-            ra = tk - key(la)
-            # J-pairs with every element, signed by the larger side, which
-            # is a's against an old element; with a new element b the
-            # principal syzygy h_b*u_a - h_a*u_b leads with lm(h_b)*lm(u_a)
-            # when a's side is larger, else the reverse
-            for b, lb in enumerate(lms):
-                lcm = _monomial_lcm(la, lb)
-                lck = key(lcm)
-                ta = lck + ra
-                if b >= old:
-                    sb = sigs[b - old]
-                    tb = lck + ratios[b - old]
-                    if ta < tb:
-                        _add_minimal(syz, tuple(map(add, la, sb)))
-                        heappush(queue, (tb, lck, b, a, tuple(map(add, map(sub, lcm, lb), sb))))
-                    if ta <= tb:
-                        continue
-                    _add_minimal(syz, tuple(map(add, lb, t)))
-                heappush(queue, (ta, lck, a, b, tuple(map(add, map(sub, lcm, la), t))))
-            polys.append(h.monic())
-            lms.append(la)
-            sigs.append(t)
-            ratios.append(ra)
-            h = None
-            while queue:
-                # the smallest signature next, with its smallest lcm, unless
-                # the syzygy or the cover criterion drops it
-                tk, lck, i, j, t = heappop(queue)
-                if tk == last:
-                    continue
-                last = tk
-                if any(_monomial_divides(s, t) for s in syz):
-                    continue
-                # new element c covers the pair when lm(u_c) divides t and
-                # (t / lm(u_c)) * lm(h_c) < lcm, that is ratio_c > tk - lck
-                cover = tk - lck
-                if any(r > cover and _monomial_divides(s, t) for r, s in zip(ratios, sigs)):
-                    continue
-                spent += 1
-                if spent > budget:
-                    raise ResourceError(
-                        f"S-pair budget of {budget} exceeded while computing a basis",
-                        partial=tuple(polys) + tuple(rest[pos + 1 :]),
-                    )
-                # regular reduction: a reducer's multiple must stay below the
-                # signature, so new element c reduces terms of key below
-                # tk - ratios[c]; an old one reduces every term, which lies
-                # below the lcm
-                h = _spoly(polys[i], polys[j])
-                if h:
-                    bounds = [lck] * old + [tk - r for r in ratios]
-                    h = poly_division(h, polys, False, bounds)[1]
-                    if h:
-                        break
-                _add_minimal(syz, t)
-        # keep the elements whose leading monomial no other one divides
-        basis, kept = [], []
-        for c in sorted(range(len(polys)), key=lambda c: sum(lms[c])):
-            if not any(_monomial_divides(k, lms[c]) for k in kept):
-                basis.append(polys[c])
-                kept.append(lms[c])
+        grown, spent = _g2v_step(basis, f, spent, budget, rest[pos + 1 :])
+        if grown is None:
+            return (ring.one,)
+        basis = grown
+    return _interreduced(basis, key)
 
-    # tail-reduce each survivor against the rest; leading monomials are
+
+def _g2v_step(
+    basis: Sequence[Poly],
+    f: Poly,
+    spent: int,
+    budget: int,
+    waiting: Sequence[Poly] = (),
+    track: bool = False,
+) -> tuple[Sequence[Poly] | None, int]:
+    """One G2V step: extend the Groebner basis ``basis`` of I by f.
+
+    Returns the elements of a Groebner basis of I + (f) whose leading
+    monomials are minimal, or None when I + (f) is the unit ideal, and the
+    S-pairs spent so far.  With ``track`` it returns the reduced basis of
+    (I : f) instead, and a unit does not end the step.  Over ``budget``,
+    the :class:`ResourceError`'s partial is the basis so far plus
+    ``waiting``, or with ``track`` the elements of (I : f) found so far.
+    """
+    # Every new element h = u*f (mod I), polys[old + c], carries its
+    # signature lm(u), as exponents in sigs[c] and as the key difference
+    # key(lm(u)) - key(lm(h)) in ratios[c]; with ``track`` u itself is
+    # cofs[c].  The old basis has signature 0, below every new one.  syz
+    # holds the minimal leading monomials of the known elements of (I : f),
+    # and with ``track`` found maps each one to such an element: an old
+    # element, or a J-pair's cofactor that reduced to 0.
+    ring = f.ring
+    p = ring.p
+    key = ring.monomial_key()
+    one = (0,) * ring.n
+    h = normal_form(f, basis)
+    old = len(basis)
+    polys = list(basis)
+    lms = [g.leading_monomial() for g in polys]
+    sigs: list[Exponents] = []
+    ratios: list[int] = []
+    cofs: list[Poly | None] = []
+    syz = list(lms)
+    found = dict(zip(lms, polys)) if track else {}
+    queue: list[tuple[int, int, int, int, Exponents]] = []
+    u, t, tk, last = ring.one if track else None, one, 0, None
+    if track and not h:
+        _add_minimal(syz, one)  # f in I
+        found[one] = u
+    while h:
+        la = h.leading_monomial()
+        if not any(la) and not track:
+            return None, spent
+        a = len(polys)
+        ra = tk - key(la)
+        if track:
+            inv = pow(h.leading_coeff(), p - 2, p)
+            u = Poly(ring, {m: c * inv % p for m, c in u._terms.items()}, t)
+        h = h.monic()
+        # J-pairs with every element, signed by the larger side, which is
+        # a's against an old element.  The principal syzygy h_b*u_a - h_a*u_b
+        # of two new elements lies in I, as h = u*f there, so the leading
+        # monomials of I's basis already cover its leading monomial.
+        for b, lb in enumerate(lms):
+            lcm = _monomial_lcm(la, lb)
+            lck = key(lcm)
+            ta = lck + ra
+            if b >= old:
+                sb = sigs[b - old]
+                tb = lck + ratios[b - old]
+                if ta < tb:
+                    heappush(queue, (tb, lck, b, a, tuple(map(add, map(sub, lcm, lb), sb))))
+                if ta <= tb:
+                    continue
+            heappush(queue, (ta, lck, a, b, tuple(map(add, map(sub, lcm, la), t))))
+        polys.append(h)
+        lms.append(la)
+        sigs.append(t)
+        ratios.append(ra)
+        cofs.append(u)
+        h = None
+        while queue:
+            # the smallest signature next, with its smallest lcm, unless
+            # the syzygy or the cover criterion drops it
+            tk, lck, i, j, t = heappop(queue)
+            if tk == last:
+                continue
+            last = tk
+            if any(_monomial_divides(s, t) for s in syz):
+                continue
+            # new element c covers the pair when lm(u_c) divides t and
+            # (t / lm(u_c)) * lm(h_c) < lcm, that is ratio_c > tk - lck
+            cover = tk - lck
+            if any(r > cover and _monomial_divides(s, t) for r, s in zip(ratios, sigs)):
+                continue
+            spent += 1
+            if spent > budget:
+                raise ResourceError(
+                    f"S-pair budget of {budget} exceeded while computing a "
+                    + ("quotient" if track else "basis"),
+                    partial=tuple(found[s] for s in syz) if track
+                    else tuple(polys) + tuple(waiting),
+                )
+            # regular reduction: a reducer's multiple must stay below the
+            # signature, so new element c reduces terms of key below
+            # tk - ratios[c]; an old one reduces every term, which lies
+            # below the lcm
+            h = _spoly(polys[i], polys[j])
+            if track:
+                # u = (lcm / lm(h_i)) * u_i - (lcm / lm(h_j)) * u_j, less
+                # q_c * u_c for each new divisor c of the reduction
+                shift = tuple(map(sub, t, sigs[i - old]))
+                acc: dict[Exponents, int] = {}
+                _add_product(acc, p, {shift: 1}, cofs[i - old])
+                if j >= old:
+                    lcm = tuple(map(add, shift, lms[i]))
+                    _add_product(acc, p, {tuple(map(sub, lcm, lms[j])): 1}, cofs[j - old], -1)
+            if h:
+                bounds = [lck] * old + [tk - r for r in ratios]
+                quots, h = poly_division(h, polys, track, bounds)
+                if track:
+                    for q, c in zip(quots[old:], cofs):
+                        if q:
+                            _add_product(acc, p, q._terms, c, -1)
+            if track:
+                u = Poly(ring, acc, t)
+            if h:
+                break
+            # no known element's leading monomial divides t, so t joins syz
+            _add_minimal(syz, t)
+            if track:
+                found[t] = u
+    if track:
+        return _interreduced([found[s] for s in syz], key), spent
+    # keep the elements whose leading monomial no other one divides
+    basis, kept = [], []
+    for c in sorted(range(len(polys)), key=lambda c: sum(lms[c])):
+        if not any(_monomial_divides(k, lms[c]) for k in kept):
+            basis.append(polys[c])
+            kept.append(lms[c])
+    return basis, spent
+
+
+def _interreduced(basis: Sequence[Poly], key: MonomialKey) -> tuple[Poly, ...]:
+    # tail-reduce each element against the rest; leading monomials are
     # already pairwise indivisible, so one pass yields the reduced basis
     out: list[Poly] = []
     for pos, g in enumerate(basis):
@@ -368,6 +473,13 @@ class Ideal:
         out._gb = None
         return out
 
+    @classmethod
+    def _of_basis(cls, ring: Ring, basis: tuple[Poly, ...]) -> "Ideal":
+        # the ideal presented by ``basis``, already its reduced basis
+        out = cls._of_checked(ring, basis)
+        out._gb = basis
+        return out
+
     # -- canonical basis ------------------------------------------------
 
     def groebner(self) -> tuple[Poly, ...]:
@@ -378,9 +490,7 @@ class Ideal:
 
     def canonical(self) -> "Ideal":
         """The same ideal presented by its reduced basis."""
-        out = Ideal._of_checked(self.ring, self.groebner())
-        out._gb = self._gb
-        return out
+        return Ideal._of_basis(self.ring, self.groebner())
 
     # -- predicates ------------------------------------------------------
 
@@ -489,38 +599,60 @@ class Ideal:
     def colon(self, f: Poly) -> "Ideal":
         """The quotient (I : f) = {g : g*f in I}; f must be nonzero.
 
-        The exact quotient of I ∩ (f) by f: each generator of the
-        intersection is divided by f, so every shortcut of
-        :meth:`intersection` serves the quotient too.
+        A monomial ideal divided by a monomial n is (m_i / gcd(m_i, n)), and
+        f in I with I's reduced basis cached gives (1); neither computes a
+        basis.  Everything else is read off one G2V step that extends I's
+        reduced basis by f while tracking cofactors, and the answer comes
+        with its reduced basis cached.  A lex or elim ring runs that step in
+        its grevlex copy, and the answer's generators are that copy's basis.
         """
         check_member(f, Poly, "the divisor", self.ring)
         if not f:
             raise DomainError("ideal quotient by the zero polynomial")
         ring = self.ring
-        out: list[Poly] = []
-        for g in self.intersection(Ideal._of_checked(ring, (f,))).gens:
-            quots, rem = poly_division(g, [f])
-            if rem:
-                raise InvariantError(
-                    "intersection with a principal ideal must be divisible "
-                    "by its generator"
+        if len(f) == 1:
+            mine = self._monomials()
+            if mine is not None:
+                n = f.leading_monomial()
+                return Ideal._of_basis(
+                    ring, _monomial_basis(ring, {tuple(map(sub, m, map(min, m, n))) for m in mine})
                 )
-            out.append(quots[0])
-        return Ideal._of_checked(ring, tuple(out))
+        if self._gb is not None and self.contains(f):
+            return Ideal._of_basis(ring, (ring.one,))
+        if ring.order == "grevlex":
+            return Ideal._of_basis(ring, _quotient(self, f))
+        # Signatures in lex or elim order make the step build the basis of
+        # I + (f) in that order, which can cost far more than the quotient.
+        copy = replace(ring, order="grevlex")
+        try:
+            gens = _quotient(Ideal._of_checked(copy, _carried(self.gens, copy)), Poly(copy, f._terms))
+        except ResourceError as exc:
+            if exc.partial is None:
+                raise
+            raise ResourceError(str(exc), partial=_carried(exc.partial, ring)) from None
+        return Ideal._of_checked(ring, _carried(gens, ring))
 
     def _eliminate(self, other: "Ideal") -> list[Poly]:
         # Generators of I ∩ J: the reduced basis of t·I + (1 - t)·J in the
         # elimination order, with every element free of t projected back.
+        # A budget's partial keeps the elements free of t, which lie in I ∩ J.
         ext = _extended_ring(self.ring)
         t = ext.gens[0]
         one_minus_t = ext.one - t
         lifted = [t * _lift(g, ext) for g in self.gens]
         lifted += [one_minus_t * _lift(g, ext) for g in other.gens]
-        return [
-            _project(h, self.ring)
-            for h in buchberger(lifted, ext)
-            if h.leading_monomial()[0] == 0
-        ]
+        try:
+            basis = buchberger(lifted, ext)
+        except ResourceError as exc:
+            if exc.partial is None:
+                raise
+            raise ResourceError(
+                str(exc),
+                partial=tuple(
+                    _project(h, self.ring) for h in exc.partial if h.leading_monomial()[0] == 0
+                ),
+            ) from None
+        return [_project(h, self.ring) for h in basis if h.leading_monomial()[0] == 0]
 
     # -- rendering -----------------------------------------------------------
 
@@ -537,6 +669,16 @@ def _monomial_ideal(ring: Ring, monos: Iterable[Exponents]) -> Ideal:
     # the ideal of the distinct monomials, each with coefficient 1
     gens = tuple(Poly(ring, {m: 1}, m) for m in dict.fromkeys(monos))
     return Ideal._of_checked(ring, gens)
+
+
+def _quotient(ideal: Ideal, f: Poly) -> tuple[Poly, ...]:
+    # the reduced basis of (I : f), read off one tracked G2V step on I's basis
+    return _g2v_step(ideal.groebner(), f, 0, _spair_budget(), track=True)[0]
+
+
+def _carried(polys: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
+    # the same polynomials in a ring that differs only in its order
+    return tuple(Poly(ring, g._terms) for g in polys)
 
 
 def _extended_ring(ring: Ring) -> Ring:

@@ -8,6 +8,7 @@ import itertools
 import pathlib
 import random
 import threading
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ import fsing.polyring as polyring
 from fsing import (
     DomainError,
     Ideal,
+    Poly,
     ResourceError,
     Ring,
     RingMismatchError,
@@ -629,8 +631,8 @@ def colon_routes(source: str) -> tuple[bool, set[str]]:
     return "intersection" in calls, _names(colon) & OLD_COLON_ROUTES
 
 
-def eliminating_functions(source: str) -> set[str]:
-    """Qualified names of the functions that call ``_eliminate``."""
+def callers(source: str, name: str) -> set[str]:
+    """Qualified names of the functions that call ``name``."""
     found = set()
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -638,7 +640,7 @@ def eliminating_functions(source: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and "_eliminate" in _names(child.func):
+            if isinstance(child, ast.Call) and name in _names(child.func):
                 found.add(".".join(scope))
             visit(child, scope)
 
@@ -646,11 +648,27 @@ def eliminating_functions(source: str) -> set[str]:
     return found
 
 
+def eliminating_functions(source: str) -> set[str]:
+    """Qualified names of the functions that call ``_eliminate``."""
+    return callers(source, "_eliminate")
+
+
 class TestColon:
-    def test_colon_is_the_quotient_of_the_intersection(self):
+    def test_colon_is_read_off_the_one_signature_step(self):
+        # colon neither meets nor eliminates, intersection alone eliminates,
+        # and one function builds S-polynomials, so there is one J-pair loop
         source = pathlib.Path(groebner.__file__).read_text()
-        assert colon_routes(source) == (True, set())
+        meets, routes = colon_routes(source)
+        assert not meets and "_eliminate" not in routes
         assert eliminating_functions(source) == {"Ideal.intersection"}
+        assert len(callers(source, "_spoly")) == 1
+
+    def test_the_scan_finds_a_second_pair_loop(self):
+        source = (
+            "def _g2v_step(basis, f):\n    return _spoly(f, f)\n"
+            "class Ideal:\n    def colon(self, f):\n        return groebner._spoly(f, f)\n"
+        )
+        assert callers(source, "_spoly") == {"_g2v_step", "Ideal.colon"}
 
     @pytest.mark.parametrize(
         "body, found",
@@ -801,6 +819,134 @@ class TestShortcutsAgreeWithElimination:
             with spair_budget(0):
                 fast = ideal.colon(f)
             assert fast.groebner() == quotient == (ring.one,)
+
+
+def _unit_mid_step(rng: random.Random, ring: Ring) -> tuple[Ideal, Poly]:
+    # f is a unit modulo I = (f*g - 1, ...), so I + (f) = (1), but f is no
+    # constant modulo I: the unit only appears once J-pairs are reduced
+    while True:
+        f = rand_poly(rng, ring, 2, 2, nonzero=True)
+        g = rand_poly(rng, ring, 2, 2, nonzero=True)
+        ideal = Ideal(ring, (f * g - 1,) + rand_ideal(rng, ring, 1).gens)
+        if not ideal.is_unit() and not ideal.normal_form(f).is_constant():
+            return Ideal(ring, ideal.gens), f
+
+
+class TestQuotientAgreesWithElimination:
+    """Colons read off the signature step give elimination's reduced basis."""
+
+    RINGS = [Ring(p=p, var_names=("x", "y", "z")[:n], order=order)
+             for p in (2, 3, 5, 7, 32003) for n in (1, 2, 3)
+             for order in ("grevlex", "lex", "elim")]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_seeded_colons(self, ring):
+        # general inputs, the zero ideal, f in I and f a unit modulo I, each
+        # against elimination, with I's basis not cached and then cached
+        rng = random.Random(f"{ring}")
+        cases = [(rand_ideal(rng, ring, 3, 3, 3), rand_poly(rng, ring, 3, 3, nonzero=True))
+                 for _ in range(4)]
+        cases.append((Ideal(ring, ()), rand_poly(rng, ring, 3, 3, nonzero=True)))
+        ideal = _binomial_ideal(rng, ring)
+        inside = sum((rand_poly(rng, ring, 2, 2) * g for g in ideal.gens), ring.zero)
+        cases.append((ideal, inside or ideal.gens[0]))
+        cases.append(_unit_mid_step(rng, ring))
+        for ideal, f in cases:
+            want = _colon_by_elimination(ideal, f).groebner()
+            for cached in (False, True):
+                if cached:
+                    ideal.groebner()
+                quotient = ideal.colon(f)
+                assert quotient.ring == ring and quotient.groebner() == want
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    def test_a_grevlex_answer_comes_with_its_basis(self, order):
+        ring = Ring(p=3, var_names=("x", "y"), order=order)
+        x, y = ring.gens
+        quotient = Ideal(ring, (x**2 + y, y**2 + x)).colon(x + y + 1)
+        assert (quotient._gb is not None) == (order == "grevlex")
+        assert quotient.groebner() == _colon_by_elimination(
+            Ideal(ring, (x**2 + y, y**2 + x)), x + y + 1).groebner()
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    def test_cofactors_keep_the_degree_guard(self, order):
+        # a product of a cofactor with a quotient would pass the guard here;
+        # elimination refuses this input as well
+        ring = Ring(p=5, var_names=("x", "y"), order=order)
+        x, y = ring.gens
+        ideal = Ideal(ring, (x ** (polyring.MAX_TOTAL_DEGREE - 2) * y - 1,))
+        with pytest.raises(ResourceError, match="degree guard"):
+            ideal.colon(x * y + 1)
+
+    def test_a_lex_colon_runs_in_the_grevlex_copy(self):
+        # In lex, the step would also build the lex basis of I + (f), which
+        # took more than a minute; the grevlex copy takes well under a second.
+        names = ("x", "y", "z")
+        gens = ("x^4*z^4 + x*y^5*z^2 + y + z^2", "x^3*y^3 + x^2*y*z^2 + x*z^3")
+        f = "x^3*y^3*z^3 + x^2*y^2*z^2 + x^2"
+        lex = Ring(p=2, var_names=names, order="lex")
+        start = time.perf_counter()
+        quotient = Ideal(lex, [lex(g) for g in gens]).colon(lex(f))
+        assert time.perf_counter() - start < 10
+        # the same ideal as elimination finds in the elim order
+        elim = Ring(p=2, var_names=names, order="elim")
+        carried = Ideal(elim, [elim.poly(dict(g.terms())) for g in quotient.gens])
+        assert carried == _colon_by_elimination(Ideal(elim, [elim(g) for g in gens]), elim(f))
+
+    def test_a_monomial_colon_divides_no_polynomial(self, monkeypatch):
+        rng = random.Random(89)
+        ring = Ring(p=3, var_names=("x", "y", "z"))
+        cases = []
+        for k in range(20):
+            ideal = Ideal(ring, [rand_monomial(rng, ring, 4) for _ in range(rng.randint(0, 3))])
+            if k % 2:
+                ideal.groebner()
+            f = rand_monomial(rng, ring, 3)
+            cases.append((ideal, f, _colon_by_elimination(ideal, f).groebner()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a monomial colon called poly_division")
+
+        monkeypatch.setattr(groebner, "poly_division", refuse)
+        for ideal, f, want in cases:
+            assert ideal.colon(f).groebner() == want
+
+
+class TestBudgetPartials:
+    """A budget's partial lies in the caller's ring and in the answer."""
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    def test_colon_partials(self, order):
+        ring = Ring(p=3, var_names=("x", "y"), order=order)
+        x, y = ring.gens
+        ideal = Ideal(ring, (x**2 + y, y**2 + x))
+        ideal.groebner()
+        answer = Ideal(ring, ideal.gens).colon(x + y + 1)
+        for cap in itertools.count():
+            with spair_budget(cap):
+                try:
+                    assert ideal.colon(x + y + 1) == answer
+                    break
+                except ResourceError as exc:
+                    partial = exc.partial
+            assert partial and all(g.ring == ring and answer.contains(g) for g in partial)
+        assert cap > 0
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    def test_intersection_partials(self, order):
+        ring = Ring(p=3, var_names=("x", "y"), order=order)
+        x, y = ring.gens
+        a, b = Ideal(ring, (x**2 + y, x * y + 1)), Ideal(ring, (y**2 + x,))
+        answer = a.intersection(b)
+        for cap in itertools.count():
+            with spair_budget(cap):
+                try:
+                    assert Ideal(ring, a.gens).intersection(b) == answer
+                    break
+                except ResourceError as exc:
+                    partial = exc.partial
+            assert all(g.ring == ring and answer.contains(g) for g in partial)
+        assert cap > 0
 
 
 class TestBracketPower:
