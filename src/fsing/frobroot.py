@@ -7,15 +7,20 @@ the floors, and those components generate the level-e root.  Coefficients
 ride along unchanged because c**q == c in F_p.  The root is the left
 adjoint of the bracket power: root(I, e) <= J exactly when I <= J^[q**e].
 
-A generator of at least ``_COLUMNAR_TERMS`` terms is split by columns:
-one pass per variable computes every term's remainder and one every
-term's floor, and the columns are zipped back into tuples.  When all
-remainders differ, every component is a single term and the root is the
-unit ideal exactly when some floor is zero; otherwise the terms are
-grouped by remainder and a constant component is looked for before any
-component is built.  Shorter generators are split term by term, which
-costs less below that size.  The rule reads only the generator's term
-count, and both splits give the same components in the same order.
+Terms are stored under their order keys (see :mod:`fsing.polyring`), and
+the key is linear in the exponents, so a term of key k whose remainder
+has key r has the floor of key ``(k - r) // q**e``.  A generator of at
+least ``_COLUMNAR_TERMS`` terms is split by columns: its keys are decoded
+in one pass into one exponent column per variable, one pass per variable
+takes every remainder and one every floor, and the floors' keys are
+weighted sums of their columns.  Shorter generators are split term by
+term, which costs less below that size.  When all remainders differ,
+every component is a single term and the root is the unit ideal exactly
+when some floor is zero; otherwise the terms are grouped by remainder and
+a constant component is looked for before any component is built.  Both
+splits give the same components in the same order.  A single term is
+split on its own, and its floor keeps its exponents as its leading
+monomial.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from .errors import check_int, check_member
 from .groebner import Ideal
 from .polyring import FROBENIUS_LEVEL_CAP, Exponents, Poly, Ring
 
-# Term count from which a generator is split by columns: the crossover
-# measured on the roots the benchmark decks take (two and three
-# variables, CPython 3.11), where the columnar split took 1.04-1.15x the
-# term loop's time at 6-7 terms and 0.70-0.88x at 8-10.
+# Term count from which a generator is split by columns.  The term by term
+# split decodes and encodes every term, and the columnar one pays a fixed
+# cost per generator; on two and three variables (CPython 3.11) they cross
+# between 8 and 16 terms, and the fthreshold deck timed the same at both.
 _COLUMNAR_TERMS = 8
 
 
@@ -39,45 +44,43 @@ def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
     # floor, which is also that component's leading monomial; so is each
     # one-term component of a long generator.  A component that is a
     # nonzero constant makes the root the unit ideal, so the scan returns
-    # the constant 1 alone as soon as it finds one; a long generator is
-    # checked before any of its components is built.  No exponent exceeds
+    # the constant 1 alone as soon as it finds one.  No exponent exceeds
     # MAX_TOTAL_DEGREE < q**FROBENIUS_LEVEL_CAP, so capping the level
     # changes no floor or remainder, and a huge q**e is never formed.
     Q = ring.q ** min(e, FROBENIUS_LEVEL_CAP)
+    codec = ring._codec
+    decode, encode = codec.decode, codec.encode
     out: list[Poly] = []
     for g in gens:
         terms = g._terms
         if len(terms) == 1:
-            for m, c in terms.items():
-                floor = tuple([b // Q for b in m])
+            for c in terms.values():
+                exps = g._lead_exps
+                if exps is None:
+                    exps = g.leading_monomial()
+                floor = tuple([b // Q for b in exps])
                 if not any(floor):
                     return (ring.one,)
-                out.append(Poly(ring, {floor: c}, floor))
+                k = encode(floor)
+                out.append(Poly(ring, {k: c}, k, floor))
             continue
-        components: dict[Exponents, dict[Exponents, int]] = {}
         if len(terms) < _COLUMNAR_TERMS:
-            for m, c in terms.items():
-                rem = tuple([b % Q for b in m])
-                floor = tuple([b // Q for b in m])
-                components.setdefault(rem, {})[floor] = c
-            for _, part in sorted(components.items()):
-                if len(part) == 1 and not any(next(iter(part))):
-                    return (ring.one,)
-                out.append(Poly(ring, part))
-            continue
-        cols = tuple(zip(*terms))
-        rems = list(zip(*[[b % Q for b in col] for col in cols]))
-        floors = list(zip(*[[b // Q for b in col] for col in cols]))
-        zero = (0,) * len(cols)
+            rems = [tuple([b % Q for b in decode(k)]) for k in terms]
+            floors = [(k - encode(rem)) // Q for k, rem in zip(terms, rems)]
+        else:
+            cols = codec.columns(terms)
+            rems = list(zip(*[[b % Q for b in col] for col in cols]))
+            floors = codec.keys_of([[b // Q for b in col] for col in cols])
         if len(set(rems)) == len(rems):
             # every component is a single term
-            if zero in floors:
+            if 0 in floors:
                 return (ring.one,)
             out += [
                 Poly(ring, {floor: c}, floor)
                 for _, floor, c in sorted(zip(rems, floors, terms.values()))
             ]
             continue
+        components: dict[Exponents, dict[int, int]] = {}
         get = components.get
         for rem, floor, c in zip(rems, floors, terms.values()):
             part = get(rem)
@@ -85,7 +88,7 @@ def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
                 components[rem] = {floor: c}
             else:
                 part[floor] = c
-        if any(len(part) == 1 and zero in part for part in components.values()):
+        if any(len(part) == 1 and 0 in part for part in components.values()):
             return (ring.one,)
         for rem in sorted(components):
             part = components[rem]

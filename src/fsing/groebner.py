@@ -28,14 +28,23 @@ signature, which :func:`poly_division` enforces as one order-key bound
 per divisor.  A nonzero result joins the new elements, and a unit ends a
 basis computation at once.  After each generator, elements whose leading
 monomial another one divides leave the basis; after the last, one
-tail-reduction pass gives the reduced basis.  Division keeps its pending
-terms in a heap of order keys, and each divisor's leading data and keyed
-tail are cached on the polynomial (:meth:`Poly.reducer`).  Order keys are
-additive, so signatures are compared as integer keys.  No reduction,
-S-polynomial or cofactor product builds a term above ``MAX_TOTAL_DEGREE``;
-one that would raises :class:`ResourceError`.  Every ideal exposes its
-reduced basis, which is unique for a fixed monomial order, so ideal
-equality, membership, intersection and quotients are all exact decisions.
+tail-reduction pass gives the reduced basis.
+
+Every term is stored under its order key (:mod:`fsing.polyring`), which is
+additive, so a shifted term costs one integer addition.  Division keeps
+its pending terms in a heap of keys, and each divisor's leading key and
+word, inverse leading coefficient and tail are cached on the polynomial
+(:meth:`Poly.reducer`).  Divisibility, lcms and gcds are read off packed
+exponent words with one guard bit per field, never off exponent tuples.
+Signatures are keys and words too.  No reduction, S-polynomial or
+cofactor product builds a term above ``MAX_TOTAL_DEGREE``; one that would
+raises :class:`ResourceError`.  A signature is never built as a term and
+may pass that guard, so it is held below ``WORD_LIMIT``, where its word
+stays exact.
+
+Every ideal exposes its reduced basis, which is unique for a fixed
+monomial order, so ideal equality, membership, intersection and quotients
+are all exact decisions.
 
 A quotient (G : f) is read off the same step, run once on G's reduced
 basis with every new element carrying its whole cofactor u (Gao, Guan and
@@ -76,7 +85,6 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -86,7 +94,7 @@ from .errors import (
     check_int,
     check_member,
 )
-from .polyring import Exponents, MonomialKey, Poly, Ring, check_degree
+from .polyring import WORD_LIMIT, Poly, Ring, check_degree
 
 # Cap on the J-pairs reduced per basis or quotient computation, read once
 # per buchberger or colon call; the CLI's ``--budget-spairs`` sets it for one command.
@@ -94,39 +102,44 @@ from .polyring import Exponents, MonomialKey, Poly, Ring, check_degree
 MAX_SPAIRS: ContextVar[int] = ContextVar("MAX_SPAIRS", default=200_000)
 
 
-def _monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
-def _monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(map(le, a, b))
-
-
-def _add_minimal(monos: list[Exponents], m: Exponents) -> None:
-    # keep ``monos`` the minimal generators of the monomial ideal they span;
-    # divisibility is tested inline, as this runs once per pair of monomials
+def _add_minimal(monos: list[int], m: int, guard: int) -> None:
+    # keep the words ``monos`` the minimal generators of the monomial ideal
+    # they span; divisibility is tested inline, as this runs once per pair
+    # of monomials
+    top = m | guard
     for k in monos:
-        if all(map(le, k, m)):
+        if (top - k) & guard == guard:
             return
-    monos[:] = [k for k in monos if not all(map(le, m, k))]
+    monos[:] = [k for k in monos if ((k | guard) - m) & guard != guard]
     monos.append(m)
 
 
-def _add_product(
-    acc: dict[Exponents, int], p: int, a: dict[Exponents, int], b: Poly, scale: int = 1
-) -> None:
-    # acc += scale * a * b in place, where a is a term dict; within the
-    # degree guard
-    check_degree(max(map(sum, a)) + b.total_degree())
-    for m1, c1 in a.items():
+def _check_signature(degree: int) -> None:
+    # A signature is never built as a term, so the degree guard does not
+    # bound it, and it may pass the guard while every term stays inside.
+    # Its word is exact, and its divisibility tests sound, below WORD_LIMIT.
+    if degree >= WORD_LIMIT:
+        raise ResourceError(f"a signature would reach the word limit {WORD_LIMIT}")
+
+
+def _monomial(ring: Ring, k: int) -> Poly:
+    # the monomial of order key k, with coefficient 1
+    return Poly(ring, {k: 1}, k)
+
+
+def _add_product(acc: dict[int, int], p: int, a: Poly, b: Poly, scale: int = 1) -> None:
+    # acc += scale * a * b in place; within the degree guard
+    check_degree(a.total_degree() + b.total_degree())
+    right = b._terms.items()
+    for k1, c1 in a._terms.items():
         c1 = c1 * scale % p
-        for m2, c2 in b._terms.items():
-            m = tuple(map(add, m1, m2))
-            v = (acc.get(m, 0) + c1 * c2) % p
+        for k2, c2 in right:
+            k = k1 + k2
+            v = (acc.get(k, 0) + c1 * c2) % p
             if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
+                acc[k] = v
+            elif k in acc:
+                del acc[k]
 
 
 def poly_division(
@@ -149,7 +162,9 @@ def poly_division(
     The pending terms sit in a max-heap of order keys with lazy deletion
     (Monagan and Pearce, 2011): a cancelled term stays in the heap and is
     skipped when popped.  Keys are additive, so a reduction term's key is
-    the shift's key plus the divisor term's cached key.
+    the shift's key plus the divisor term's key.  Each popped term's word
+    is decoded once and tested against every divisor's leading word with
+    the guard bits (see :class:`~fsing.polyring.Codec`).
     """
     ring = f.ring
     p = ring.p
@@ -161,13 +176,13 @@ def poly_division(
         reducers.append(d.reducer())
     if below is not None and len(below) != len(reducers):
         raise DomainError("division needs one key bound per divisor")
-    quots: list[dict[Exponents, int]] | None = (
+    quots: list[dict[int, int]] | None = (
         [{} for _ in reducers] if with_quotients else None
     )
-    rem: dict[Exponents, int] = {}
-    key = ring.monomial_key()
-    monos = {key(m): m for m in f._terms}
-    work = {k: f._terms[m] for k, m in monos.items()}
+    rem: dict[int, int] = {}
+    codec = ring._codec
+    word, word_degree, G = codec.word, codec.word_degree, codec.guard
+    work = dict(f._terms)
     heap = [-k for k in work]
     heapify(heap)
     if below is None and heap:
@@ -177,27 +192,26 @@ def poly_division(
         c = work.pop(k, 0)
         if not c:
             continue
-        m = monos[k]
-        for i, (lm, lk, lc_inv, excess, tail) in enumerate(reducers):
+        w = word(k)
+        top = w | G
+        for i, (lk, lw, lc_inv, excess, tail) in enumerate(reducers):
             # every weight is positive, so lm | m implies lk <= k
-            if lk <= k < below[i] and _monomial_divides(lm, m):
+            if lk <= k < below[i] and (top - lw) & G == G:
                 break
         else:
-            rem[m] = c
+            rem[k] = c
             continue
         if excess > 0:
-            check_degree(sum(m) + excess)
-        shift = tuple(map(sub, m, lm))
+            check_degree(word_degree(w) + excess)
         coef = c * lc_inv % p
-        if quots is not None:
-            # m strictly decreases, so each shift occurs once per divisor
-            quots[i][shift] = coef
         sk = k - lk
-        for dm, dc, dk in tail:
+        if quots is not None:
+            # the key strictly decreases, so each shift occurs once per divisor
+            quots[i][sk] = coef
+        for dk, dc in tail:
             nk = sk + dk
             v = work.get(nk)
             if v is None:
-                monos[nk] = tuple(map(add, shift, dm))
                 work[nk] = -coef * dc % p
                 heappush(heap, -nk)
             else:
@@ -224,37 +238,40 @@ def normal_form(f: Poly, divisors: Sequence[Poly]) -> Poly:
 def _spoly(f: Poly, g: Poly) -> Poly:
     # both inputs monic, so the lcm terms cancel: only the shifted tails
     # are built, and only they must stay inside the degree guard
-    lf, _, _, ef, tail_f = f.reducer()
-    lg, _, _, eg, tail_g = g.reducer()
-    lcm = _monomial_lcm(lf, lg)
+    kf, wf, _, ef, tail_f = f.reducer()
+    kg, wg, _, eg, tail_g = g.reducer()
+    codec = f.ring._codec
+    lcm = codec.lcm(wf, wg)
+    degree = codec.word_degree(lcm)
     if tail_f:
-        check_degree(sum(lcm) + ef)
+        check_degree(degree + ef)
     if tail_g:
-        check_degree(sum(lcm) + eg)
-    shift = tuple(map(sub, lcm, lf))
-    out = {tuple(map(add, shift, m)): c for m, c, _ in tail_f}
-    shift = tuple(map(sub, lcm, lg))
+        check_degree(degree + eg)
+    lck = codec.key(lcm)
+    shift = lck - kf
+    out = {shift + k: c for k, c in tail_f}
+    shift = lck - kg
     p = f.ring.p
-    for m, c, _ in tail_g:
-        m = tuple(map(add, shift, m))
-        v = (out.get(m, 0) - c) % p
+    for k, c in tail_g:
+        k += shift
+        v = (out.get(k, 0) - c) % p
         if v:
-            out[m] = v
-        elif m in out:
-            del out[m]
+            out[k] = v
+        elif k in out:
+            del out[k]
     return Poly(f.ring, out)
 
 
-def _monomial_basis(ring: Ring, monos: set[Exponents]) -> tuple[Poly, ...]:
-    # The reduced basis of a monomial ideal is its minimal generators
-    # (Dickson's lemma).  In degree order none divides one added before it,
-    # so none is added and then dropped; a constant leaves the unit basis.
-    minimal: list[Exponents] = []
-    for m in sorted(monos, key=sum):
-        _add_minimal(minimal, m)
-    if len(minimal) > 1:
-        minimal.sort(key=ring.monomial_key(), reverse=True)
-    return tuple([Poly(ring, {m: 1}, m) for m in minimal])
+def _monomial_basis(ring: Ring, words: Iterable[int]) -> tuple[Poly, ...]:
+    # The reduced basis of a monomial ideal, given by the words of its
+    # generators, is its minimal generators (Dickson's lemma).  In degree
+    # order none divides one added before it, so none is added and then
+    # dropped; a constant leaves the unit basis.
+    codec = ring._codec
+    minimal: list[int] = []
+    for w in sorted(words, key=codec.word_degree):
+        _add_minimal(minimal, w, codec.guard)
+    return tuple([_monomial(ring, k) for k in sorted(map(codec.key, minimal), reverse=True)])
 
 
 def _spair_budget() -> int:
@@ -273,26 +290,26 @@ def buchberger(gens: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     divisibility alone: no pair is formed and no S-pair is spent.
     """
     budget = _spair_budget()
-    key = ring.monomial_key()
     gens = list(gens)
     for g in gens:
         check_member(g, Poly, "a generator", ring)
     # the single-term generators seed the basis with the reduced basis of
     # the monomial ideal they span
-    basis = _monomial_basis(ring, {m for g in gens if len(g._terms) == 1 for m in g._terms})
-    if basis and not any(basis[0].leading_monomial()):
+    word = ring._codec.word
+    basis = _monomial_basis(ring, {word(k) for g in gens if len(g._terms) == 1 for k in g._terms})
+    if basis and not basis[0]._lead():
         return basis
     rest = [g for g in gens if len(g._terms) > 1]
     if not rest:
         return basis
-    rest.sort(key=lambda g: key(g.leading_monomial()))
+    rest.sort(key=Poly._lead)
     spent = 0
     for pos, f in enumerate(rest):
         grown, spent = _g2v_step(basis, f, spent, budget, rest[pos + 1 :])
         if grown is None:
             return (ring.one,)
         basis = grown
-    return _interreduced(basis, key)
+    return _interreduced(basis)
 
 
 def _g2v_step(
@@ -311,77 +328,91 @@ def _g2v_step(
     (I : f) instead, and a unit does not end the step.  Over ``budget``,
     the :class:`ResourceError`'s partial is the basis so far plus
     ``waiting``, or with ``track`` the elements of (I : f) found so far.
+    A signature of degree ``WORD_LIMIT`` or more raises :class:`ResourceError`.
     """
     # Every new element h = u*f (mod I), polys[old + c], carries its
-    # signature lm(u), as exponents in sigs[c] and as the key difference
-    # key(lm(u)) - key(lm(h)) in ratios[c]; with ``track`` u itself is
-    # cofs[c].  The old basis has signature 0, below every new one.  syz
-    # holds the minimal leading monomials of the known elements of (I : f),
-    # and with ``track`` found maps each one to such an element: an old
-    # element, or a J-pair's cofactor that reduced to 0.
+    # signature lm(u): its key in sigs[c], its word in sig_words[c], its
+    # degree in sig_degs[c], and the key difference key(lm(u)) - key(lm(h))
+    # in ratios[c]; with ``track`` u itself is cofs[c].  The old basis has
+    # signature 0, below every new one.  syz holds the words of the minimal
+    # leading monomials of the known elements of (I : f), and with
+    # ``track`` found maps each one to such an element: an old element, or
+    # a J-pair's cofactor that reduced to 0.
     ring = f.ring
     p = ring.p
-    key = ring.monomial_key()
-    one = (0,) * ring.n
+    codec = ring._codec
+    word, degree, G = codec.word, codec.degree, codec.guard
     h = normal_form(f, basis)
     old = len(basis)
     polys = list(basis)
-    lms = [g.leading_monomial() for g in polys]
-    sigs: list[Exponents] = []
+    leads = [g._lead() for g in polys]
+    lead_words = [word(k) for k in leads]
+    lead_degs = [degree(k) for k in leads]
+    sigs: list[int] = []
+    sig_words: list[int] = []
+    sig_degs: list[int] = []
     ratios: list[int] = []
     cofs: list[Poly | None] = []
-    syz = list(lms)
-    found = dict(zip(lms, polys)) if track else {}
-    queue: list[tuple[int, int, int, int, Exponents]] = []
-    u, t, tk, last = ring.one if track else None, one, 0, None
+    syz = list(lead_words)
+    found = dict(zip(lead_words, polys)) if track else {}
+    queue: list[tuple[int, int, int, int]] = []
+    u, tk, tw, td, last = ring.one if track else None, 0, 0, 0, None
     if track and not h:
-        _add_minimal(syz, one)  # f in I
-        found[one] = u
+        _add_minimal(syz, 0, G)  # f in I
+        found[0] = u
     while h:
-        la = h.leading_monomial()
-        if not any(la) and not track:
+        ka = h._lead()
+        if not ka and not track:
             return None, spent
         a = len(polys)
-        ra = tk - key(la)
+        wa = word(ka)
+        ra = tk - ka
         if track:
             inv = pow(h.leading_coeff(), p - 2, p)
-            u = Poly(ring, {m: c * inv % p for m, c in u._terms.items()}, t)
+            u = Poly(ring, {k: c * inv % p for k, c in u._terms.items()}, tk)
         h = h.monic()
         # J-pairs with every element, signed by the larger side, which is
         # a's against an old element.  The principal syzygy h_b*u_a - h_a*u_b
         # of two new elements lies in I, as h = u*f there, so the leading
-        # monomials of I's basis already cover its leading monomial.
-        for b, lb in enumerate(lms):
-            lcm = _monomial_lcm(la, lb)
-            lck = key(lcm)
+        # monomials of I's basis already cover its leading monomial.  A
+        # J-pair's signature key is its lcm's key plus its side's ratio.
+        for b, wb in enumerate(lead_words):
+            lck = codec.key(codec.lcm(wa, wb))
             ta = lck + ra
             if b >= old:
-                sb = sigs[b - old]
                 tb = lck + ratios[b - old]
                 if ta < tb:
-                    heappush(queue, (tb, lck, b, a, tuple(map(add, map(sub, lcm, lb), sb))))
+                    heappush(queue, (tb, lck, b, a))
                 if ta <= tb:
                     continue
-            heappush(queue, (ta, lck, a, b, tuple(map(add, map(sub, lcm, la), t))))
+            heappush(queue, (ta, lck, a, b))
         polys.append(h)
-        lms.append(la)
-        sigs.append(t)
+        leads.append(ka)
+        lead_words.append(wa)
+        lead_degs.append(degree(ka))
+        sigs.append(tk)
+        sig_words.append(tw)
+        sig_degs.append(td)
         ratios.append(ra)
         cofs.append(u)
         h = None
         while queue:
             # the smallest signature next, with its smallest lcm, unless
             # the syzygy or the cover criterion drops it
-            tk, lck, i, j, t = heappop(queue)
+            tk, lck, i, j = heappop(queue)
             if tk == last:
                 continue
             last = tk
-            if any(_monomial_divides(s, t) for s in syz):
+            td = degree(lck) - lead_degs[i] + sig_degs[i - old]
+            _check_signature(td)
+            tw = word(tk)
+            top = tw | G
+            if any((top - s) & G == G for s in syz):
                 continue
             # new element c covers the pair when lm(u_c) divides t and
             # (t / lm(u_c)) * lm(h_c) < lcm, that is ratio_c > tk - lck
             cover = tk - lck
-            if any(r > cover and _monomial_divides(s, t) for r, s in zip(ratios, sigs)):
+            if any(r > cover and (top - s) & G == G for r, s in zip(ratios, sig_words)):
                 continue
             spent += 1
             if spent > budget:
@@ -399,39 +430,38 @@ def _g2v_step(
             if track:
                 # u = (lcm / lm(h_i)) * u_i - (lcm / lm(h_j)) * u_j, less
                 # q_c * u_c for each new divisor c of the reduction
-                shift = tuple(map(sub, t, sigs[i - old]))
-                acc: dict[Exponents, int] = {}
-                _add_product(acc, p, {shift: 1}, cofs[i - old])
+                acc: dict[int, int] = {}
+                _add_product(acc, p, _monomial(ring, tk - sigs[i - old]), cofs[i - old])
                 if j >= old:
-                    lcm = tuple(map(add, shift, lms[i]))
-                    _add_product(acc, p, {tuple(map(sub, lcm, lms[j])): 1}, cofs[j - old], -1)
+                    _add_product(acc, p, _monomial(ring, lck - leads[j]), cofs[j - old], -1)
             if h:
                 bounds = [lck] * old + [tk - r for r in ratios]
                 quots, h = poly_division(h, polys, track, bounds)
                 if track:
                     for q, c in zip(quots[old:], cofs):
                         if q:
-                            _add_product(acc, p, q._terms, c, -1)
+                            _add_product(acc, p, q, c, -1)
             if track:
-                u = Poly(ring, acc, t)
+                u = Poly(ring, acc, tk)
             if h:
                 break
             # no known element's leading monomial divides t, so t joins syz
-            _add_minimal(syz, t)
+            _add_minimal(syz, tw, G)
             if track:
-                found[t] = u
+                found[tw] = u
     if track:
-        return _interreduced([found[s] for s in syz], key), spent
+        return _interreduced([found[s] for s in syz]), spent
     # keep the elements whose leading monomial no other one divides
     basis, kept = [], []
-    for c in sorted(range(len(polys)), key=lambda c: sum(lms[c])):
-        if not any(_monomial_divides(k, lms[c]) for k in kept):
+    for c in sorted(range(len(polys)), key=lead_degs.__getitem__):
+        top = lead_words[c] | G
+        if not any((top - k) & G == G for k in kept):
             basis.append(polys[c])
-            kept.append(lms[c])
+            kept.append(lead_words[c])
     return basis, spent
 
 
-def _interreduced(basis: Sequence[Poly], key: MonomialKey) -> tuple[Poly, ...]:
+def _interreduced(basis: Sequence[Poly]) -> tuple[Poly, ...]:
     # tail-reduce each element against the rest; leading monomials are
     # already pairwise indivisible, so one pass yields the reduced basis
     out: list[Poly] = []
@@ -440,7 +470,7 @@ def _interreduced(basis: Sequence[Poly], key: MonomialKey) -> tuple[Poly, ...]:
         r = normal_form(g, others)
         if r:
             out.append(r.monic())
-    out.sort(key=lambda h: key(h.leading_monomial()), reverse=True)
+    out.sort(key=Poly._lead, reverse=True)
     return tuple(out)
 
 
@@ -554,13 +584,14 @@ class Ideal:
             out._gb = tuple(g.frobenius_power(e) for g in self._gb)
         return out
 
-    def _monomials(self) -> list[Exponents] | None:
-        # The exponent tuples of a single-term presentation (the cached
-        # basis when there is one, else the generators); None when some
-        # element has two or more terms.
+    def _monomials(self) -> list[int] | None:
+        # The words of a single-term presentation (the cached basis when
+        # there is one, else the generators); None when some element has
+        # two or more terms.
         gens = self.gens if self._gb is None else self._gb
         if all(len(g) == 1 for g in gens):
-            return [g.leading_monomial() for g in gens]
+            word = self.ring._codec.word
+            return [word(g._lead()) for g in gens]
         return None
 
     def intersection(self, other: "Ideal") -> "Ideal":
@@ -584,11 +615,12 @@ class Ideal:
         if mine is not None:
             theirs = other._monomials()
             if theirs is not None:
+                codec = self.ring._codec
                 for side, inner, outer in ((self, mine, theirs), (other, theirs, mine)):
-                    if all(any(_monomial_divides(n, m) for n in outer) for m in inner):
+                    if all(any(codec.divides(n, m) for n in outer) for m in inner):
                         return side
                 return _monomial_ideal(
-                    self.ring, (_monomial_lcm(a, b) for a in mine for b in theirs)
+                    self.ring, (codec.key(codec.lcm(a, b)) for a in mine for b in theirs)
                 )
         if other._gb is not None and self <= other:
             return self
@@ -613,9 +645,10 @@ class Ideal:
         if len(f) == 1:
             mine = self._monomials()
             if mine is not None:
-                n = f.leading_monomial()
+                codec = ring._codec
+                n = codec.word(f._lead())
                 return Ideal._of_basis(
-                    ring, _monomial_basis(ring, {tuple(map(sub, m, map(min, m, n))) for m in mine})
+                    ring, _monomial_basis(ring, {m - codec.gcd(m, n) for m in mine})
                 )
         if self._gb is not None and self.contains(f):
             return Ideal._of_basis(ring, (ring.one,))
@@ -625,7 +658,7 @@ class Ideal:
         # I + (f) in that order, which can cost far more than the quotient.
         copy = replace(ring, order="grevlex")
         try:
-            gens = _quotient(Ideal._of_checked(copy, _carried(self.gens, copy)), Poly(copy, f._terms))
+            gens = _quotient(Ideal._of_checked(copy, _carried(self.gens, copy)), _rekeyed(f, copy))
         except ResourceError as exc:
             if exc.partial is None:
                 raise
@@ -641,6 +674,9 @@ class Ideal:
         one_minus_t = ext.one - t
         lifted = [t * _lift(g, ext) for g in self.gens]
         lifted += [one_minus_t * _lift(g, ext) for g in other.gens]
+        # in the elimination order, an element is free of t exactly when its
+        # leading monomial is, that is when its leading key is below t's
+        free = t._lead()
         try:
             basis = buchberger(lifted, ext)
         except ResourceError as exc:
@@ -648,11 +684,9 @@ class Ideal:
                 raise
             raise ResourceError(
                 str(exc),
-                partial=tuple(
-                    _project(h, self.ring) for h in exc.partial if h.leading_monomial()[0] == 0
-                ),
+                partial=tuple(_project(h, self.ring) for h in exc.partial if h._lead() < free),
             ) from None
-        return [_project(h, self.ring) for h in basis if h.leading_monomial()[0] == 0]
+        return [_project(h, self.ring) for h in basis if h._lead() < free]
 
     # -- rendering -----------------------------------------------------------
 
@@ -665,10 +699,9 @@ class Ideal:
         return f"<Ideal {self} of {self.ring}>"
 
 
-def _monomial_ideal(ring: Ring, monos: Iterable[Exponents]) -> Ideal:
+def _monomial_ideal(ring: Ring, keys: Iterable[int]) -> Ideal:
     # the ideal of the distinct monomials, each with coefficient 1
-    gens = tuple(Poly(ring, {m: 1}, m) for m in dict.fromkeys(monos))
-    return Ideal._of_checked(ring, gens)
+    return Ideal._of_checked(ring, tuple(_monomial(ring, k) for k in dict.fromkeys(keys)))
 
 
 def _quotient(ideal: Ideal, f: Poly) -> tuple[Poly, ...]:
@@ -676,9 +709,18 @@ def _quotient(ideal: Ideal, f: Poly) -> tuple[Poly, ...]:
     return _g2v_step(ideal.groebner(), f, 0, _spair_budget(), track=True)[0]
 
 
+def _rekeyed(g: Poly, ring: Ring, lift: int = 0, drop: int = 0) -> Poly:
+    # g in ``ring``, whose order keys differ from g's own: each monomial is
+    # decoded, given ``lift`` leading zero exponents or stripped of its
+    # first ``drop``, and encoded again
+    decode, key = g.ring._codec.decode, ring.monomial_key()
+    pad = (0,) * lift
+    return Poly(ring, {key(pad + decode(k)[drop:]): c for k, c in g._terms.items()})
+
+
 def _carried(polys: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
     # the same polynomials in a ring that differs only in its order
-    return tuple(Poly(ring, g._terms) for g in polys)
+    return tuple(_rekeyed(g, ring) for g in polys)
 
 
 def _extended_ring(ring: Ring) -> Ring:
@@ -690,14 +732,20 @@ def _extended_ring(ring: Ring) -> Ring:
     return Ring(p=ring.p, var_names=(name,) + ring.var_names, s=ring.s, order="elim")
 
 
+# The elim weights of the n + 1 variables of an extended ring are, on its
+# last n, the grevlex weights of n variables, so a grevlex polynomial keeps
+# its keys when it is lifted or projected.
+
+
 def _lift(g: Poly, ext: Ring) -> Poly:
-    return Poly(ext, {(0,) + m: c for m, c in g._terms.items()})
+    if g.ring.order == "grevlex":
+        return Poly(ext, g._terms)
+    return _rekeyed(g, ext, lift=1)
 
 
 def _project(g: Poly, base: Ring) -> Poly:
-    terms: dict[Exponents, int] = {}
-    for m, c in g._terms.items():
-        if m[0] != 0:
-            raise InvariantError("projection applied to a term with the aux variable")
-        terms[m[1:]] = c
-    return Poly(base, terms)
+    if g and g.ring._codec.decode(g._lead())[0] != 0:
+        raise InvariantError("projection applied to a term with the aux variable")
+    if base.order == "grevlex":
+        return Poly(base, g._terms)
+    return _rekeyed(g, base, drop=1)

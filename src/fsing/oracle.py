@@ -33,7 +33,7 @@ def bracket_membership_oracle(f: Poly, e: int) -> bool:
     """
     check_int(e, "the bracket level", 0)
     Q = f.ring.q**e
-    return all(any(b >= Q for b in m) for m in f._terms)
+    return all(any(b >= Q for b in m) for m, _ in f.terms())
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
@@ -87,7 +87,7 @@ def smallest_ideal_bruteforce(
     if not g:
         return Ideal(ring, ())
     Q = ring.q**e
-    terms = list(g._terms)
+    terms = [m for m, _ in g.terms()]
     candidates = sorted(product(range(exponent_cap + 1), repeat=ring.n))
     passing: list[tuple[Exponents, ...]] = []
     for chain in _antichains(candidates, max_ideals):
@@ -143,13 +143,13 @@ def express_in_ideal(
     col_vectors: list[dict[int, int]] = []
     for i, mu in columns:
         vec: dict[int, int] = {}
-        for m, c in gens[i]._terms.items():
+        for m, c in gens[i].terms():
             mm = tuple(a + b for a, b in zip(mu, m))
             idx = rows.setdefault(mm, len(rows))
             vec[idx] = (vec.get(idx, 0) + c) % p
         col_vectors.append(vec)
     target = [0] * len(rows)
-    for m, c in f._terms.items():
+    for m, c in f.terms():
         if m not in rows:
             return None
         target[rows[m]] = c

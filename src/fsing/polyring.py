@@ -1,13 +1,24 @@
 """Exact sparse polynomial arithmetic over a prime field.
 
-Elements of F_p[x_1, ..., x_n] are stored as dicts mapping exponent tuples
-to coefficients reduced into [1, p-1]; the zero polynomial is the empty
-dict, so every polynomial has exactly one representation.  A :class:`Ring`
-fixes the characteristic p, the Frobenius step s (the Frobenius map raises
-to the power q = p**s), the variable names and the monomial order.  The
-order is one integer key per monomial, a fixed weighted sum of its
-exponents (:meth:`Ring.monomial_key`), so the key of a product is the sum
-of the keys.  All operations are pure and exact; nothing here ever rounds.
+A :class:`Ring` fixes the characteristic p, the Frobenius step s (the
+Frobenius map raises to the power q = p**s), the variable names and the
+monomial order.  The order is one integer key per monomial, a fixed
+weighted sum of its exponents (:meth:`Ring.monomial_key`), and that key
+stands for the monomial itself: an element of F_p[x_1, ..., x_n] is a
+dict mapping order keys to coefficients reduced into [1, p-1].  The zero
+polynomial is the empty dict, so every polynomial has exactly one
+representation.  Keys are additive and linear in the exponents, so a
+product of monomials is one integer addition, a Frobenius twist one
+multiplication by q**e, and the order one integer comparison.
+
+Exponent tuples appear only at the boundary: :meth:`Ring.poly`,
+:meth:`Ring.monomial` and the parser encode them, and :meth:`Poly.terms`,
+:meth:`Poly.leading_monomial`, :meth:`Poly.coeff` and printing decode.
+Inside, a ring's :class:`Codec` turns a key into its word, the exponents
+packed one per 32-bit field.  The degree guard keeps every exponent below
+2**31, so the top bit of each field is free, and one subtraction tests
+divisibility of two words in every field at once.  All operations are
+pure and exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -15,16 +26,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn
+from itertools import repeat
+from operator import add, neg
+from struct import Struct, unpack_from
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
-from .errors import DomainError, ParseError, ResourceError, check_int, check_member
+from .errors import DomainError, FSingError, ParseError, ResourceError, check_int, check_member
 
 Exponents = tuple[int, ...]
 MonomialKey = Callable[[Exponents], int]
-# (leading monomial, its key, inverse leading coefficient, tail degree
-# excess, tail terms as (monomial, coefficient, key)); see Poly.reducer
-Reducer = tuple[Exponents, int, int, int, tuple[tuple[Exponents, int, int], ...]]
+# (leading key, leading word, inverse leading coefficient, tail degree
+# excess, tail terms as (key, coefficient)); see Poly.reducer
+Reducer = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
 
 # Guard against runaway exponent growth: any operation whose result would
 # exceed this total degree raises ResourceError instead of computing it.
@@ -75,24 +88,153 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-# Width of one exponent field of an order key.  The degree guard keeps
-# every exponent and total degree at most MAX_TOTAL_DEGREE, and
-# 2**21 > 2 * MAX_TOTAL_DEGREE, so no field carries into the next, even in
-# a difference of two keys, and keys rank monomials exactly.
-_FIELD = 1 << 21
+# Width of one exponent field of an order key, in bits.  The degree guard
+# keeps every exponent and total degree at most MAX_TOTAL_DEGREE, far below
+# 2**31, so no field carries into the next, even in a difference of two
+# keys or a sum of two degrees, and keys rank monomials exactly.  Fields
+# are whole 32-bit words, so a key decodes with one struct unpack.
+_BITS = 32
+_FIELD = 1 << _BITS
+_MASK = _FIELD - 1
+# A word decodes exactly, with every guard bit free, while each exponent
+# and the total degree stay below this; the degree guard keeps every term
+# far below it, and the signatures of groebner's engine are checked
+# against it.
+WORD_LIMIT = 1 << (_BITS - 1)
 
 
-def _order_weights(order: str, n: int) -> tuple[int, ...]:
-    # key(m) = sum(w_i * m_i) ranks monomials exactly as the named order.
-    B = _FIELD
-    if order == "grevlex":
-        # total degree first, then the smaller exponent of the last
-        # variable where two monomials differ
-        return tuple(B**n - B**i for i in range(n))
-    if order == "lex":
-        return tuple(B ** (n - 1 - i) for i in range(n))
-    # elim: the first variable's exponent first, then grevlex on the rest
-    return (B**n,) + tuple(B ** (n - 1) - B ** (i - 1) for i in range(1, n))
+class Codec:
+    """The order key of one ring, with its inverse: exponents to keys to words.
+
+    The key of a monomial is a fixed weighted sum of its exponents, so it
+    is additive, and it ranks monomials exactly as the order does.  With
+    B = 2**32 and the variables x_1..x_n, the weights are
+
+    - lex: B**(n-i) for x_i, so the key is the word that packs the
+      exponents one per 32-bit field, x_1 in the top field;
+    - grevlex: B**n - B**(i-1), so the key is ``d * B**n - P``, with d the
+      total degree and P the word with x_1 in the bottom field, and
+      ``d = ceil(key / B**n)``;
+    - elim: B**n for x_1, then the grevlex weights of x_2..x_n, so the top
+      field ``ceil(key / B**(n-1))`` holds x_1's exponent above the degree
+      of the rest; the word puts x_1 in the bottom field, below the rest's.
+
+    Keys are encoded and decoded with one struct pack or unpack.  Decoding
+    is exact for every monomial within the degree guard, and for the lcm
+    of two of them.
+
+    The guard keeps each exponent below ``WORD_LIMIT`` = 2**31, so the top
+    bit of every field is free.  With ``guard`` the sum of those bits,
+    ``((b | guard) - a) & guard == guard`` holds exactly when word a
+    divides word b, as no field borrows from the next.
+
+    The conversions are closures, so hot loops can bind them: ``encode``
+    (exponents to key, for exponents in [0, 2**32)), ``decode`` (key to
+    exponents), ``word`` and ``key`` (key to word and back), ``degree``
+    (key to total degree) and ``word_degree`` (word to total degree).
+    ``weights[i]`` is the key of the i-th variable.
+    """
+
+    __slots__ = ("n", "guard", "weights", "encode", "decode", "word", "key", "degree",
+                 "word_degree", "_fields", "_words")
+
+    def __init__(self, order: str, n: int):
+        F = _BITS
+        top = F * (n - 1)
+        ones = sum(1 << (F * j) for j in range(n))
+        self.guard = ones << (F - 1)
+        size = 4 * n
+        fields = Struct((">" if order == "lex" else "<") + "I" * n)
+        pack, unpack, from_bytes = fields.pack, fields.unpack, int.from_bytes
+
+        def word_degree(w: int) -> int:
+            # the sum of the fields lands in the top one
+            return ((w * ones) >> top) & _MASK
+
+        if order == "lex":
+
+            def decode(k: int) -> Exponents:
+                return unpack(k.to_bytes(size, "big"))
+
+            self.encode = lambda m: from_bytes(pack(*m), "big")
+            self.word = self.key = lambda k: k
+            self._words = lambda keys: keys
+            self.degree = word_degree
+        elif order == "grevlex":
+            # P = d * B**n - key lies in [0, B**n), so it is -key mod B**n
+            S = F * n
+            low = (1 << S) - 1
+
+            def decode(k: int) -> Exponents:
+                return unpack((-k & low).to_bytes(size, "little"))
+
+            self.encode = lambda m: (sum(m) << S) - from_bytes(pack(*m), "little")
+            self.word = lambda k: -k & low
+            self._words = lambda keys: map(low.__and__, map(neg, keys))
+            self.key = lambda w: (word_degree(w) << S) - w
+            self.degree = lambda k: -(-k >> S)
+        else:
+            rest = (1 << top) - 1
+
+            def word(k: int) -> int:
+                return ((-k & rest) << F) + (-(-k >> top) >> F)
+
+            def key(w: int) -> int:
+                x = w & _MASK
+                return (((x << F) + word_degree(w) - x) << top) - (w >> F)
+
+            def degree(k: int) -> int:
+                t = -(-k >> top)
+                return (t >> F) + (t & _MASK)
+
+            def decode(k: int) -> Exponents:
+                return unpack(word(k).to_bytes(size, "little"))
+
+            self.encode = lambda m: key(from_bytes(pack(*m), "little"))
+            self.word, self.key, self.degree = word, key, degree
+            self._words = lambda keys: map(word, keys)
+        self.word_degree = word_degree
+        self.decode = decode
+        self.n = n
+        self.weights = tuple(self.encode([int(j == i) for j in range(n)]) for i in range(n))
+        # the field of each variable's exponent in a little-endian word
+        self._fields = range(n - 1, -1, -1) if order == "lex" else range(n)
+
+    def columns(self, keys: Collection[int]) -> list[tuple[int, ...]]:
+        """The exponents of many keys at once, one tuple per variable.
+
+        Each column lists its variable's exponents in the order of ``keys``;
+        all the words are unpacked in one pass.
+        """
+        n, size = self.n, 4 * self.n
+        words = map(int.to_bytes, self._words(keys), repeat(size), repeat("little"))
+        flat = unpack_from(f"<{n * len(keys)}I", b"".join(words))
+        return [flat[j::n] for j in self._fields]
+
+    def keys_of(self, columns: Sequence[Sequence[int]]) -> list[int]:
+        """The keys of the monomials whose exponents ``columns`` lists, per variable."""
+        keys = map(self.weights[0].__mul__, columns[0])
+        for w, col in zip(self.weights[1:], columns[1:]):
+            keys = map(add, keys, map(w.__mul__, col))
+        return list(keys)
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether word a divides word b."""
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def _at_least(self, a: int, b: int) -> int:
+        # all ones in the fields where a's exponent is at least b's
+        return ((((a | self.guard) - b) & self.guard) >> (_BITS - 1)) * _MASK
+
+    def lcm(self, a: int, b: int) -> int:
+        """The word of the lcm of words a and b: the larger exponent per field."""
+        mask = self._at_least(a, b)
+        return (a & mask) | (b & ~mask)
+
+    def gcd(self, a: int, b: int) -> int:
+        """The word of the gcd of words a and b: the smaller exponent per field."""
+        mask = self._at_least(a, b)
+        return (b & mask) | (a & ~mask)
 
 
 @dataclass(frozen=True)
@@ -155,14 +297,14 @@ class Ring:
         return self.p**self.s
 
     @cached_property
-    def _order_key(self) -> MonomialKey:
-        w = _order_weights(self.order, self.n)
-        return lambda m: sum(map(mul, w, m))
+    def _codec(self) -> Codec:
+        return Codec(self.order, self.n)
 
     def monomial_key(self) -> MonomialKey:
         """The order key: an int, additive in the exponents, that ranks
-        monomials exactly as the ring's order does."""
-        return self._order_key
+        monomials exactly as the ring's order does.  Polynomials store
+        their terms under it.  It takes exponents in [0, 2**32)."""
+        return self._codec.encode
 
     @property
     def zero(self) -> "Poly":
@@ -175,18 +317,22 @@ class Ring:
     def constant(self, c: int) -> "Poly":
         check_int(c, "a coefficient")
         c %= self.p
-        return Poly(self, {(0,) * self.n: c} if c else {})
+        return Poly(self, {0: c}, 0) if c else Poly(self, {})
 
     def monomial(self, exponents: Iterable[int], coeff: int = 1) -> "Poly":
         m = self._checked(tuple(exponents))
+        k = self._codec.encode(m)
         check_int(coeff, "a coefficient")
         c = coeff % self.p
-        return Poly(self, {m: c}, m) if c else Poly(self, {})
+        return Poly(self, {k: c}, k, m) if c else Poly(self, {})
 
-    @cached_property
+    @property
     def gens(self) -> tuple["Poly", ...]:
-        n = self.n
-        return tuple(self.monomial(int(j == i) for j in range(n)) for i in range(n))
+        return tuple(self._variable(i) for i in range(self.n))
+
+    def _variable(self, i: int) -> "Poly":
+        k = self._codec.weights[i]
+        return Poly(self, {k: 1}, k)
 
     def _checked(self, m: Exponents) -> Exponents:
         # Kept inline, not check_int and check_degree: this runs once per
@@ -201,18 +347,19 @@ class Ring:
 
     def poly(self, terms: Mapping[Exponents, int]) -> "Poly":
         """Build a polynomial from an exponent->coefficient mapping."""
-        clean: dict[Exponents, int] = {}
+        key = self._codec.encode
+        clean: dict[int, int] = {}
         for m, c in terms.items():
-            m = self._checked(tuple(m))
+            k = key(self._checked(tuple(m)))
             check_int(c, "a coefficient")
             c %= self.p
             if c:
-                prev = clean.get(m, 0)
+                prev = clean.get(k, 0)
                 tot = (prev + c) % self.p
                 if tot:
-                    clean[m] = tot
-                elif m in clean:
-                    del clean[m]
+                    clean[k] = tot
+                elif k in clean:
+                    del clean[k]
         return Poly(self, clean)
 
     def __call__(self, text: "str | int | Poly") -> "Poly":
@@ -243,20 +390,29 @@ class Ring:
 class Poly:
     """Immutable sparse polynomial over its ring's prime field.
 
-    The term dict is private to the package and never mutated after
-    construction; use :meth:`Ring.poly` or ring parsing to build values.
-    A caller that already knows the leading monomial may pass it as ``lm``.
+    The term dict maps order keys to coefficients; it is private to the
+    package and never mutated after construction.  Use :meth:`Ring.poly`
+    or ring parsing to build values.  A caller that already knows the
+    leading monomial's key may pass it as ``lm``, and its exponents as
+    ``lead_exps``.
     """
 
-    __slots__ = ("ring", "_terms", "_hash", "_lm", "_reducer")
+    __slots__ = ("ring", "_terms", "_hash", "_lm", "_lead_exps", "_deg", "_reducer")
 
     def __init__(
-        self, ring: Ring, terms: dict[Exponents, int], lm: Exponents | None = None
+        self,
+        ring: Ring,
+        terms: dict[int, int],
+        lm: int | None = None,
+        lead_exps: Exponents | None = None,
     ):
         self.ring = ring
         self._terms = terms
         self._hash: int | None = None
         self._lm = lm
+        # the leading monomial's exponents, once known
+        self._lead_exps = lead_exps
+        self._deg: int | None = None
         self._reducer: Reducer | None = None
 
     # -- basic queries ------------------------------------------------
@@ -268,7 +424,8 @@ class Poly:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(not any(m) for m in self._terms)
+        # the key 0 is the monomial 1 alone
+        return not any(self._terms)
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -277,65 +434,83 @@ class Poly:
         return len(self._terms)
 
     def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(m) for m in self._terms)
+        """Total degree; -1 for the zero polynomial.
+
+        grevlex reads it off the leading key; the other orders decode every
+        term once, and the result is cached.
+        """
+        if self._deg is None:
+            if not self._terms:
+                return -1
+            degree = self.ring._codec.degree
+            if self.ring.order == "grevlex":
+                self._deg = degree(self._lead())
+            else:
+                self._deg = max(map(degree, self._terms))
+        return self._deg
 
     def constant_term(self) -> int:
-        return self._terms.get((0,) * self.ring.n, 0)
+        return self._terms.get(0, 0)
 
     def coeff(self, exponents: Iterable[int]) -> int:
-        return self._terms.get(tuple(exponents), 0)
+        try:
+            k = self.ring._codec.encode(self.ring._checked(tuple(exponents)))
+        except FSingError:  # no monomial of this ring
+            return 0
+        return self._terms.get(k, 0)
 
     def terms(self) -> Iterator[tuple[Exponents, int]]:
         """Yield (exponents, coefficient) pairs in descending term order."""
-        key = self.ring.monomial_key()
-        for m in sorted(self._terms, key=key, reverse=True):
-            yield m, self._terms[m]
+        decode = self.ring._codec.decode
+        terms = self._terms
+        for k in sorted(terms, reverse=True):
+            yield decode(k), terms[k]
+
+    def _lead(self) -> int:
+        # the leading monomial's order key
+        if self._lm is None:
+            if not self._terms:
+                raise DomainError("the zero polynomial has no leading monomial")
+            self._lm = max(self._terms)
+        return self._lm
 
     def leading_monomial(self) -> Exponents:
-        if self._lm is None:
-            if len(self._terms) == 1:
-                self._lm = next(iter(self._terms))
-            elif not self._terms:
-                raise DomainError("the zero polynomial has no leading monomial")
-            else:
-                self._lm = max(self._terms, key=self.ring.monomial_key())
-        return self._lm
+        if self._lead_exps is None:
+            self._lead_exps = self.ring._codec.decode(self._lead())
+        return self._lead_exps
 
     def reducer(self) -> Reducer:
         """This polynomial as a divisor, built once and cached.
 
-        Holds the leading monomial, its order key, the inverse leading
-        coefficient, the largest total degree of the other terms minus the
-        leading one's (0 when there are none), and those other terms as
-        ``(monomial, coefficient, key)`` triples.
+        Holds the leading monomial's key and word (see :class:`Codec`), the
+        inverse leading coefficient, the largest total degree of the other
+        terms minus the leading one's (0 when there are none), and those
+        other terms as ``(key, coefficient)`` pairs.
         """
         if self._reducer is None:
-            key = self.ring.monomial_key()
-            lm = self.leading_monomial()
+            codec = self.ring._codec
+            lk = self._lead()
             p = self.ring.p
-            tail = tuple((m, c, key(m)) for m, c in self._terms.items() if m != lm)
-            lead_deg = sum(lm)
-            excess = max((sum(m) for m, _, _ in tail), default=lead_deg) - lead_deg
-            self._reducer = (lm, key(lm), pow(self._terms[lm], p - 2, p), excess, tail)
+            tail = tuple((k, c) for k, c in self._terms.items() if k != lk)
+            lead_deg = codec.degree(lk)
+            excess = max(map(codec.degree, (k for k, _ in tail)), default=lead_deg) - lead_deg
+            self._reducer = (lk, codec.word(lk), pow(self._terms[lk], p - 2, p), excess, tail)
         return self._reducer
 
     def leading_coeff(self) -> int:
-        return self._terms[self.leading_monomial()]
+        return self._terms[self._lead()]
 
     def monic(self) -> "Poly":
         if not self._terms:
             return self
-        lm = self.leading_monomial()
-        lc = self._terms[lm]
+        lk = self._lead()
+        lc = self._terms[lk]
         if lc == 1:
             return self
-        # scaling by a unit keeps every exponent, and so the leading one
+        # scaling by a unit keeps every monomial, and so the leading one
         p = self.ring.p
         inv = pow(lc, p - 2, p)
-        return Poly(self.ring, {m: c * inv % p for m, c in self._terms.items()}, lm)
+        return Poly(self.ring, {k: c * inv % p for k, c in self._terms.items()}, lk)
 
     # -- equality and hashing -----------------------------------------
 
@@ -361,19 +536,19 @@ class Poly:
         other = self._coerce(other)
         p = self.ring.p
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            v = (out.get(m, 0) + c) % p
+        for k, c in other._terms.items():
+            v = (out.get(k, 0) + c) % p
             if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
+                out[k] = v
+            elif k in out:
+                del out[k]
         return Poly(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
         p = self.ring.p
-        return Poly(self.ring, {m: p - c for m, c in self._terms.items()})
+        return Poly(self.ring, {k: p - c for k, c in self._terms.items()}, self._lm)
 
     def __sub__(self, other: "Poly | int") -> "Poly":
         return self + (-self._coerce(other))
@@ -385,18 +560,25 @@ class Poly:
         other = self._coerce(other)
         if not self._terms or not other._terms:
             return Poly(self.ring, {})
-        check_degree(self.total_degree() + other.total_degree())
+        degree = self.total_degree() + other.total_degree()
+        check_degree(degree)
         p = self.ring.p
-        out: dict[Exponents, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = tuple(map(add, m1, m2))
-                v = (out.get(m, 0) + c1 * c2) % p
+        out: dict[int, int] = {}
+        get = out.get
+        right = other._terms.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                v = (get(k, 0) + c1 * c2) % p
                 if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return Poly(self.ring, out)
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+        # over a field the leading terms multiply to the leading term, and
+        # the top-degree parts to a nonzero part of the summed degree
+        product = Poly(self.ring, out, self._lead() + other._lead())
+        product._deg = degree
+        return product
 
     __rmul__ = __mul__
 
@@ -443,7 +625,9 @@ class Poly:
         """Apply the e-fold Frobenius: every exponent is scaled by q**e.
 
         Coefficients are fixed because c**p == c in F_p.  Equals the plain
-        power f**(q**e) but costs one pass over the terms.
+        power f**(q**e) but costs one pass over the terms: the order key is
+        linear in the exponents, so each key is scaled by q**e, and so is
+        the order between them.
         """
         check_int(e, "a Frobenius level", 0)
         if e == 0:
@@ -455,7 +639,9 @@ class Poly:
         # power passes the guard only when it equals q**e
         Q = self.ring.q ** min(e, FROBENIUS_LEVEL_CAP)
         check_degree(degree * Q)
-        return Poly(self.ring, {tuple(b * Q for b in m): c for m, c in self._terms.items()})
+        twist = Poly(self.ring, {k * Q: c for k, c in self._terms.items()}, self._lead() * Q)
+        twist._deg = degree * Q
+        return twist
 
     # -- rendering ------------------------------------------------------
 
@@ -602,7 +788,7 @@ class _PolyParser:
                     f"unknown variable {value!r}; ring variables are "
                     f"{','.join(self.ring.var_names)}"
                 ) from None
-            return self.ring.gens[idx]
+            return self.ring._variable(idx)
         if kind == "op" and value == "(":
             inner = self.expr()
             kind, value, _ = self.advance()

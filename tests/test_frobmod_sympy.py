@@ -100,18 +100,18 @@ def _key(exprs: list, syms, p: int) -> set[frozenset]:
 
 
 def _fsing_key(ideal: Ideal) -> set[frozenset]:
-    return {frozenset(g._terms.items()) for g in ideal.groebner()}
+    return {frozenset(g.terms()) for g in ideal.groebner()}
 
 
 def _exprs(ideal: Ideal, syms) -> list:
-    return [_to_sympy(g._terms, syms) for g in ideal.gens]
+    return [_to_sympy(dict(g.terms()), syms) for g in ideal.gens]
 
 
 def _check(module: FrobModule) -> None:
     ring = module.ring
     p, q = ring.p, ring.q
     syms = sympy.symbols(ring.var_names)
-    f = _to_sympy(module.multiplier._terms, syms)
+    f = _to_sympy(dict(module.multiplier.terms()), syms)
     relations = _exprs(module.relations, syms)
 
     kernel, length = _chain(relations, f, syms, p, q)
@@ -154,7 +154,7 @@ def _nilpotency_order(module: FrobModule, e_max: int) -> int | None:
     ring = module.ring
     p, q = ring.p, ring.q
     syms = sympy.symbols(ring.var_names)
-    f = _to_sympy(module.multiplier._terms, syms)
+    f = _to_sympy(dict(module.multiplier.terms()), syms)
     relations = _exprs(module.relations, syms)
     ambient = _exprs(module.ambient, syms)
     image = None

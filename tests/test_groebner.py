@@ -90,12 +90,16 @@ class TestDivision:
             divisors = [rand_poly(rng, ring, 3, 3, nonzero=True) for _ in range(2)]
             quots, rem = poly_division(f, divisors)
             for h in quots + [rem]:
-                assert h._lm == (max(h._terms, key=key) if h else None)
+                if h:
+                    assert h.leading_monomial() == max(dict(h.terms()), key=key)
+                else:
+                    with pytest.raises(DomainError):
+                        h.leading_monomial()
             g = rand_poly(rng, ring, 5, 4, nonzero=True)
             lc = g.leading_coeff()
             monic = g.monic()
-            assert monic._terms.keys() == g._terms.keys()
-            assert monic._lm == max(g._terms, key=key)
+            assert dict(monic.terms()).keys() == dict(g.terms()).keys()
+            assert monic.leading_monomial() == max(dict(g.terms()), key=key)
             assert monic.leading_coeff() == 1
             assert monic * lc == g
 
@@ -121,10 +125,16 @@ class TestDivision:
         record = d.reducer()
         normal_form(x**2 * y, [d])
         assert d.reducer() is record
-        lm, lead_key, lc_inv, excess, tail = record
-        assert lm == (1, 1) and lead_key == R5.monomial_key()(lm)
+        # (leading key, leading word, inverse leading coefficient, tail
+        # degree excess, tail terms as (key, coefficient))
+        lead_key, lead_word, lc_inv, excess, tail = record
+        key, codec = R5.monomial_key(), R5._codec
+        assert lead_key == key((1, 1)) and codec.decode(lead_key) == (1, 1)
+        assert lead_word == codec.word(lead_key)
+        assert codec.divides(lead_word, codec.word(key((2, 1))))
+        assert not codec.divides(lead_word, codec.word(key((2, 0))))
         assert lc_inv == 1 and excess == -1
-        assert sorted(m for m, _, _ in tail) == [(0, 0), (0, 1)]
+        assert sorted(tail) == sorted([(key((0, 1)), 2), (key((0, 0)), 1)])
 
     @pytest.mark.parametrize(
         "order, names", [("lex", ("x", "y")), ("elim", ("t", "x"))]
@@ -389,6 +399,31 @@ class TestSignatureEngine:
         assert len(gb) > len(gens) and gb == Ideal(ring, gb).groebner()
         assert not any(normal_form(g, list(gb)) for g in gens)
         assert not any(normal_form(groebner._spoly(f, g), list(gb)) for f in gb for g in gb)
+
+    def test_signatures_past_the_degree_guard_stay_exact(self, monkeypatch):
+        # x -> x^c, y -> y^c is flat and keeps the order, so it carries the
+        # reduced basis of an ideal to that of its image.  At c = 40000 every
+        # term stays inside the degree guard, but the engine's signatures
+        # pass it, and their words must still decide both criteria exactly.
+        ring = Ring(p=5, var_names=("x", "y"))
+        system = [{(2, 5): 2, (2, 4): 3}, {(6, 1): 3, (0, 2): 1, (1, 0): 3}]
+        c = 40000
+        seen: list[int] = []
+        check = groebner._check_signature
+        monkeypatch.setattr(groebner, "_check_signature", lambda d: (seen.append(d), check(d)))
+        basis = buchberger([ring.poly(t) for t in system], ring)
+        scaled = buchberger(
+            [ring.poly({tuple(c * b for b in m): v for m, v in t.items()}) for t in system], ring
+        )
+        assert max(seen) > polyring.MAX_TOTAL_DEGREE
+        assert [dict(g.terms()) for g in scaled] == [
+            {tuple(c * b for b in m): v for m, v in g.terms()} for g in basis
+        ]
+
+    def test_a_signature_at_the_word_limit_is_refused(self):
+        groebner._check_signature(polyring.WORD_LIMIT - 1)
+        with pytest.raises(ResourceError, match="word limit"):
+            groebner._check_signature(polyring.WORD_LIMIT)
 
     @pytest.mark.parametrize("order", ["grevlex", "lex"])
     def test_a_budget_partial_still_generates_the_ideal(self, order):

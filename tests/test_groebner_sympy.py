@@ -62,7 +62,7 @@ def _sympy_basis(exprs, syms, p: int, order: str) -> set[frozenset]:
 
 
 def _fsing_basis(basis) -> set[frozenset]:
-    return {frozenset(g._terms.items()) for g in basis}
+    return {frozenset(g.terms()) for g in basis}
 
 
 def _systems(seed: int, count: int):

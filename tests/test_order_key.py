@@ -5,12 +5,20 @@ comparisons of exponent tuples; nothing here comes from fsing's order
 code.  On seeded random exponent vectors, exponents at the degree guard
 included, the key must rank monomials exactly as the reference does, and
 it must be additive.
+
+Polynomials store their terms under these keys, so the ring's codec must
+also invert them: keys decode to their exponents, guard-bit words decide
+divisibility, lcm and gcd words encode the tuple lcm and gcd, a Frobenius
+twist scales every key, and terms carried between orders or into and out
+of the elimination ring keep their exponents.  Each is checked against
+plain tuple arithmetic, at the degree guard too.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cmp_to_key
+from operator import le
 
 import pytest
 
@@ -96,3 +104,126 @@ def test_key_is_additive(order):
             a, b = _exponents(rng, n), _exponents(rng, n)
             assert key(tuple(x + y for x, y in zip(a, b))) == key(a) + key(b)
         assert key((0,) * n) == 0
+
+
+# -- the codec: keys back to exponents, words and their guard bits -----------
+
+ORDERS = ("grevlex", "lex", "elim")
+
+
+def _ring(order: str, n: int, p: int = 3) -> Ring:
+    return Ring(p=p, var_names=tuple(f"x{i}" for i in range(n)), order=order)
+
+
+def _edges(n: int) -> list[tuple[int, ...]]:
+    """One variable at the guard, and the full budget split every way."""
+    out = []
+    for i in range(n):
+        m = [0] * n
+        m[i] = MAX_TOTAL_DEGREE
+        out.append(tuple(m))
+    even = [MAX_TOTAL_DEGREE // n] * n
+    even[0] += MAX_TOTAL_DEGREE - sum(even)
+    out.append(tuple(even))
+    out.append((0,) * n)
+    return out
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_keys_decode_to_their_exponents(order, n):
+    rng = random.Random(7200 + 10 * n + len(order))
+    ring = _ring(order, n)
+    key, codec = ring.monomial_key(), ring._codec
+    for m in _edges(n) + [_exponents(rng, n) for _ in range(300)]:
+        k = key(m)
+        assert codec.decode(k) == m
+        assert codec.key(codec.word(k)) == k
+        assert codec.degree(k) == codec.word_degree(codec.word(k)) == sum(m)
+        assert ring.monomial(m).leading_monomial() == m
+        assert list(ring.monomial(m, 2).terms()) == [(m, 2)]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_guard_bits_decide_divisibility(order, n):
+    rng = random.Random(7300 + 10 * n + len(order))
+    ring = _ring(order, n)
+    key, codec = ring.monomial_key(), ring._codec
+    vectors = _edges(n) + [_exponents(rng, n) for _ in range(200)]
+    pairs = [(a, a) for a in vectors]
+    pairs += [(rng.choice(vectors), rng.choice(vectors)) for _ in range(400)]
+    for a in vectors[:60]:
+        # a divisor and a near miss: one unit less, or one unit more, in a variable
+        i = rng.randrange(n)
+        if a[i]:
+            pairs.append((a[:i] + (a[i] - 1,) + a[i + 1 :], a))
+        if sum(a) < MAX_TOTAL_DEGREE:
+            pairs.append((a[:i] + (a[i] + 1,) + a[i + 1 :], a))
+    divides = 0
+    for a, b in pairs:
+        expected = all(map(le, a, b))
+        divides += expected
+        assert codec.divides(codec.word(key(a)), codec.word(key(b))) == expected, (a, b)
+    assert 0 < divides < len(pairs)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_lcm_and_gcd_words_encode_the_tuple_lcm_and_gcd(order, n):
+    rng = random.Random(7400 + 10 * n + len(order))
+    ring = _ring(order, n)
+    key, codec = ring.monomial_key(), ring._codec
+    vectors = _edges(n) + [_exponents(rng, n) for _ in range(150)]
+    for _ in range(300):
+        a, b = rng.choice(vectors), rng.choice(vectors)
+        wa, wb = codec.word(key(a)), codec.word(key(b))
+        lcm, gcd = tuple(map(max, a, b)), tuple(map(min, a, b))
+        assert codec.key(codec.lcm(wa, wb)) == key(lcm)
+        assert codec.word_degree(codec.lcm(wa, wb)) == sum(lcm)
+        assert codec.key(codec.gcd(wa, wb)) == key(gcd)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_frobenius_twist_scales_every_key(order):
+    rng = random.Random(7500 + len(order))
+    for p, n in ((2, 1), (3, 2), (5, 3), (2, 5)):
+        ring = _ring(order, n, p)
+        key = ring.monomial_key()
+        for _ in range(20):
+            f = ring.poly(
+                {tuple(rng.randint(0, 4) for _ in range(n)): rng.randrange(1, p) for _ in range(4)}
+            )
+            for e in (1, 2, 3):
+                Q = ring.q**e
+                twist = f.frobenius_power(e)
+                assert twist._terms == {k * Q: c for k, c in f._terms.items()}
+                assert [(key(m), c) for m, c in twist.terms()] == [
+                    (key(m) * Q, c) for m, c in f.terms()
+                ]
+                if f:
+                    assert twist.total_degree() == f.total_degree() * Q
+
+
+def test_carried_lifted_and_projected_terms_are_unchanged():
+    from fsing.groebner import _carried, _extended_ring, _lift, _project
+
+    rng = random.Random(7600)
+    for n in (1, 2, 3):
+        rings = {order: _ring(order, n, 5) for order in ORDERS}
+        for _ in range(20):
+            terms = {tuple(rng.randint(0, 6) for _ in range(n)): rng.randrange(1, 5) for _ in range(5)}
+            for source in ORDERS:
+                f = rings[source].poly(terms)
+                want = dict(f.terms())
+                for target in ORDERS:
+                    (g,) = _carried([f], rings[target])
+                    assert g.ring == rings[target] and dict(g.terms()) == want
+                    assert list(g.terms()) == sorted(
+                        g.terms(), key=lambda t: rings[target].monomial_key()(t[0]), reverse=True
+                    )
+                ext = _extended_ring(f.ring)
+                lifted = _lift(f, ext)
+                assert dict(lifted.terms()) == {(0,) + m: c for m, c in want.items()}
+                back = _project(lifted, f.ring)
+                assert back == f and dict(back.terms()) == want

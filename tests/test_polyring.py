@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -338,11 +340,21 @@ class TestParsing:
             f = _rand(rng, ring)
             assert ring(str(f)) == f
 
-    def test_generators_are_built_once_and_shared(self):
-        # the parser reads a generator per variable token; sharing one tuple
-        # is safe because a Poly never changes
+    def test_a_parsed_ring_is_freed_without_the_collector(self):
+        # the parser builds a one-term polynomial per variable token, and
+        # nothing a ring caches refers back to it, so a ring that has parsed
+        # text needs no cycle collection to be freed
+        gc.disable()
+        try:
+            probe = Ring(p=3, var_names=("x", "y"))
+            assert str(probe("x^2*y + (x + y)^3")) == "x^3 + x^2*y + y^3"
+            assert len(probe.gens) == 2 and probe.monomial_key()((1, 1)) > 0
+            alive = weakref.ref(probe)
+            del probe
+            assert alive() is None
+        finally:
+            gc.enable()
         ring = Ring(p=3, var_names=("x", "y"))
-        assert ring.gens is ring.gens
         cases = {
             "x^2*y + 2*x": "x^2*y + 2*x",
             "(x + y)^3": "x^3 + y^3",
