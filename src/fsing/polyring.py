@@ -328,11 +328,7 @@ class Ring:
 
     @property
     def gens(self) -> tuple["Poly", ...]:
-        return tuple(self._variable(i) for i in range(self.n))
-
-    def _variable(self, i: int) -> "Poly":
-        k = self._codec.weights[i]
-        return Poly(self, {k: 1}, k)
+        return tuple(Poly(self, {k: 1}, k) for k in self._codec.weights)
 
     def _checked(self, m: Exponents) -> Exponents:
         # Kept inline, not check_int and check_degree: this runs once per
@@ -668,30 +664,28 @@ class Poly:
 # -- parsing -----------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(
-                    f"unexpected character {text[pos:].strip()[0]!r} at position {pos}"
-                )
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # no token at pos
             break
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start()))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
+        kind = m.lastgroup
+        tokens.append((kind, m[kind], pos))
         pos = m.end()
+    if text[pos:].strip():
+        raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} at position {pos}")
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+# A parenthesis-free term: (coefficient in [0, p), order key, total degree).
+# A zero coefficient stands for the zero term, whatever the key.
+Term = tuple[int, int, int]
 
 
 class _PolyParser:
@@ -699,13 +693,21 @@ class _PolyParser:
 
     Multiplication must be explicit (``2*x``, never ``2x``), exponents are
     nonnegative integer literals after ``^``, and parentheses group freely.
+
+    Numbers and variables are :data:`Term` triples, so a parenthesis-free
+    power multiplies a key and a product adds two, each under the degree
+    guard of the ``Poly`` operation it replaces.  A parenthesized group
+    is a :class:`Poly`, and any product or power that involves one is
+    ``Poly`` arithmetic.  Each sum is gathered into one dict in place, term
+    after term, so the dict and its order are those of a chain of ``+``.
     """
 
     def __init__(self, ring: Ring, text: str):
         self.ring = ring
+        self.p = ring.p
+        self.weights = ring._codec.weights
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.text = text
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -727,36 +729,55 @@ class _PolyParser:
         return result
 
     def expr(self) -> Poly:
-        sign = 1
+        p = self.p
+        out: dict[int, int] = {}
+        get = out.get
         kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-        result = self.term()
-        if sign < 0:
-            result = -result
+        sign = 1
         while True:
-            kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                nxt = self.term()
-                result = result + nxt if value == "+" else result - nxt
+                sign = -1 if value == "-" else 1
+            term = self.term()
+            if isinstance(term, tuple):
+                c, k, _ = term
+                items = ((k, c),) if c else ()
             else:
-                return result
+                items = term._terms.items()
+            for k, c in items:
+                v = (get(k, 0) + sign * c) % p
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+            kind, value, _ = self.peek()
+            if not (kind == "op" and value in "+-"):
+                return Poly(self.ring, out)
 
-    def term(self) -> Poly:
+    def term(self) -> "Term | Poly":
         result = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = result * self.factor()
+                factor = self.factor()
+                if isinstance(result, tuple) and isinstance(factor, tuple):
+                    c1, k1, d1 = result
+                    c2, k2, d2 = factor
+                    # Poly.__mul__ returns zero before its guard
+                    if c1 and c2:
+                        check_degree(d1 + d2)
+                        result = (c1 * c2 % self.p, k1 + k2, d1 + d2)
+                    else:
+                        result = (0, 0, 0)
+                else:
+                    result = self.poly(result) * self.poly(factor)
             elif kind in ("num", "name") or (kind == "op" and value == "("):
                 self.fail("missing '*' between factors")
             else:
                 return result
 
-    def factor(self) -> Poly:
+    def factor(self) -> "Term | Poly":
         base = self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
@@ -765,8 +786,23 @@ class _PolyParser:
             if kind != "num":
                 self.fail("exponent must be a nonnegative integer literal")
             self.advance()
-            return base ** self.literal(value)
+            m = self.literal(value)
+            if not isinstance(base, tuple):
+                return base**m
+            c, k, d = base
+            if not m:
+                return (1, 0, 0)
+            # Poly.__pow__ returns zero before its guard
+            if c:
+                check_degree(d * m)
+            return (pow(c, m, self.p), k * m, d * m)
         return base
+
+    def poly(self, term: "Term | Poly") -> Poly:
+        if not isinstance(term, tuple):
+            return term
+        c, k, _ = term
+        return Poly(self.ring, {k: c}, k) if c else self.ring.zero
 
     def literal(self, digits: str) -> int:
         try:
@@ -776,10 +812,10 @@ class _PolyParser:
                 f"integer literal of {len(digits)} digits is too long"
             ) from None
 
-    def atom(self) -> Poly:
+    def atom(self) -> "Term | Poly":
         kind, value, _ = self.advance()
         if kind == "num":
-            return self.ring.constant(self.literal(value))
+            return (self.literal(value) % self.p, 0, 0)
         if kind == "name":
             try:
                 idx = self.ring.var_names.index(value)
@@ -788,7 +824,7 @@ class _PolyParser:
                     f"unknown variable {value!r}; ring variables are "
                     f"{','.join(self.ring.var_names)}"
                 ) from None
-            return self.ring._variable(idx)
+            return (1, self.weights[idx], 1)
         if kind == "op" and value == "(":
             inner = self.expr()
             kind, value, _ = self.advance()

@@ -314,11 +314,92 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text",
-        ["2x", "x y", "x^", "x^-2", "x*", "(x", "x)", "", "  ", "x?y", "z", "x^y"],
+        [
+            "2x", "x y", "x^", "x^-2", "x*", "(x", "x)", "", "  ", "x?y", "z", "x^y",
+            # number literals are ASCII digits only
+            "x^\u0663", "x^\uff13", "\u0663*x",
+        ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             R2(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("- -x", "(found '-' at position 1)"),
+            (" x ?", "unexpected character '?' at position 2"),
+            ("x^\u0663", "unexpected character '\u0663' at position 2"),
+            ("\u0663*x", "unexpected character '\u0663' at position 0"),
+        ],
+    )
+    def test_parse_error_positions(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            R3(text)
+        assert message in str(caught.value)
+
+    def test_a_zero_factor_absorbs_the_factors_after_it(self):
+        # a product is zero before its degree guard, and products run left
+        # to right, so only the factors before the zero are guarded
+        assert R2("0*x^600000*x^600000") == R2.zero
+        with pytest.raises(ResourceError):
+            R2("x^600000*x^600000*0")
+
+    def test_the_first_failure_from_the_left_wins(self):
+        with pytest.raises(ResourceError):
+            R2("x^2000000*foo")
+        with pytest.raises(ParseError, match="unknown variable 'foo'"):
+            R2("foo*x^2000000")
+
+    def test_constant_powers_and_guarded_factors_in_f3(self):
+        assert R3("2^1000000000") == R3.one
+        # the literal 3 is zero, so it absorbs the product unguarded
+        assert R3("3*x^600000*x^600000") == R3.zero
+        # the factor x^2000000 is guarded although the coefficient 3 is 0
+        with pytest.raises(ResourceError):
+            R3("3*x^2000000")
+
+    @pytest.mark.parametrize("text", ["0^0", "(0)^0", "(x+y)^0", "x^00"])
+    def test_a_zeroth_power_is_one(self, text):
+        assert R2(text) == R2.one
+
+    def test_parenthesized_powers_are_guarded(self):
+        with pytest.raises(ResourceError):
+            R2("(x)^1000001")
+
+    def test_exponents_may_have_leading_zeros(self):
+        assert R2("x^01") == R2.gens[0]
+        assert R2("x^007*y^0010") == R2.monomial((7, 10))
+
+    def test_parenthesis_free_terms_need_no_poly_arithmetic(self, monkeypatch):
+        ring = Ring(p=7, var_names=("x", "y", "z"))
+        rng = random.Random(23)
+        parts, expected = [], {}
+        for i in range(20):
+            exps = (i % 5, i // 5, rng.randint(0, 3))
+            c = rng.randint(1, 20)
+            factors = [str(c)] + [
+                f"{v}^{e}" for v, e in zip(ring.var_names, exps) if e
+            ]
+            # a repeated variable: x^a*x becomes x^(a+1)
+            if exps[0]:
+                factors[1] = "x^" + str(exps[0] - 1) + "*x"
+            parts.append(("- " if i % 3 == 1 else "+ ") + "*".join(factors))
+            expected[exps] = expected.get(exps, 0) + (-c if i % 3 == 1 else c)
+        text = " ".join(parts)
+
+        class Reached(Exception):
+            pass
+
+        def refuse(*args):
+            raise Reached
+
+        for name in ("__mul__", "__pow__", "__add__", "__sub__", "__neg__"):
+            monkeypatch.setattr(Poly, name, refuse)
+        assert dict(ring(text).terms()) == dict(ring.poly(expected).terms())
+        for text in ("(x + y)^2", "x*(y + z)", "(x + y)*z"):
+            with pytest.raises(Reached):
+                ring(text)
 
     def test_huge_exponent_is_resource_error(self):
         with pytest.raises(ResourceError):
@@ -341,7 +422,7 @@ class TestParsing:
             assert ring(str(f)) == f
 
     def test_a_parsed_ring_is_freed_without_the_collector(self):
-        # the parser builds a one-term polynomial per variable token, and
+        # the parser reads the variables' keys off the ring's codec, and
         # nothing a ring caches refers back to it, so a ring that has parsed
         # text needs no cycle collection to be freed
         gc.disable()
