@@ -211,8 +211,10 @@ def _cmd_verify(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
     record("root-bracket-containment", all(bracket.contains(g) for g in ideal.gens))
 
     if level >= 2:
-        roots = walk(functools.partial(ideal_root, e=1), ideal)
-        *_, iterated = islice(roots, level + 1)
+        # the walk starts at the first root, so the input ideal is never
+        # compared with it
+        roots = walk(functools.partial(ideal_root, e=1), ideal_root(ideal, 1))
+        *_, iterated = islice(roots, level)
         record("iterated-root-agreement", iterated == root)
     else:
         record("iterated-root-agreement", None)

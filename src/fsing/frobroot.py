@@ -13,18 +13,23 @@ has key r has the floor of key ``(k - r) // q**e``.  A generator of at
 least ``_COLUMNAR_TERMS`` terms is split by columns: its keys are decoded
 in one pass into one exponent column per variable, one pass per variable
 takes every remainder and one every floor, and the floors' keys are
-weighted sums of their columns.  Shorter generators are split term by
-term, which costs less below that size.  When all remainders differ,
-every component is a single term and the root is the unit ideal exactly
-when some floor is zero; otherwise the terms are grouped by remainder and
-a constant component is looked for before any component is built.  Both
-splits give the same components in the same order.  A single term is
+weighted sums of their columns.  Before it computes any floor, it looks
+for a constant component: a term's floor is zero exactly when each of its
+exponents is below q**e, and its component is that constant when no other
+term shares its remainder; then the root is the unit ideal.  Shorter
+generators are split term by term, which costs less below that size.
+When all remainders differ, every component is a single term and the
+root is the unit ideal exactly when some floor is zero; otherwise the
+terms are grouped by remainder and a constant component is looked for
+before any component is built.  Both splits give the same components in
+the same order.  A single term is
 split on its own, and its floor keeps its exponents as its leading
 monomial.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 from .errors import check_int, check_member
@@ -70,6 +75,15 @@ def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
         else:
             cols = codec.columns(terms)
             rems = list(zip(*[[b % Q for b in col] for col in cols]))
+            # decided before any floor key: a term whose exponents are all
+            # below Q has floor 0, and its component is that constant
+            # unless another term shares its remainder
+            tops = map(max, *cols) if len(cols) > 1 else cols[0]
+            consts = [rem for rem, top in zip(rems, tops) if top < Q]
+            if consts and (
+                len(set(rems)) == len(rems) or 1 in map(Counter(rems).__getitem__, consts)
+            ):
+                return (ring.one,)
             floors = codec.keys_of([[b // Q for b in col] for col in cols])
         if len(set(rems)) == len(rems):
             # every component is a single term

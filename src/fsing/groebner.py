@@ -85,6 +85,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -164,16 +165,25 @@ def poly_division(
     skipped when popped.  Keys are additive, so a reduction term's key is
     the shift's key plus the divisor term's key.  Each popped term's word
     is decoded once and tested against every divisor's leading word with
-    the guard bits (see :class:`~fsing.polyring.Codec`).
+    the guard bits (see :class:`~fsing.polyring.Codec`).  A leading
+    monomial divides only terms whose key is at least its own, so once the
+    popped key falls below the least leading key, every pending term goes
+    to the remainder untested.
     """
     ring = f.ring
     p = ring.p
     reducers = []
+    # no divisor reaches a term below the least leading key (see the scan
+    # below); the bounds in ``below`` only narrow which divisors reach one
+    floor = inf
     for d in divisors:
         check_member(d, Poly, "a divisor", ring)
         if not d:
             raise DomainError("cannot divide by the zero polynomial")
-        reducers.append(d.reducer())
+        r = d.reducer()
+        reducers.append(r)
+        if r[0] < floor:
+            floor = r[0]
     if below is not None and len(below) != len(reducers):
         raise DomainError("division needs one key bound per divisor")
     quots: list[dict[int, int]] | None = (
@@ -189,6 +199,10 @@ def poly_division(
         below = [1 - heap[0]] * len(reducers)  # above every term reduced
     while heap:
         k = -heappop(heap)
+        if k < floor:
+            # every pending term is remainder, in decreasing order
+            rem.update(sorted(work.items(), reverse=True))
+            break
         c = work.pop(k, 0)
         if not c:
             continue

@@ -20,6 +20,7 @@ import threading
 import pytest
 
 import fsing.cli as cli
+import fsing.groebner as groebner
 from fsing.cli import build_parser, main
 from fsing import Certificate, FrobModule, Ideal, Ring, buchberger
 from fsing.groebner import MAX_SPAIRS
@@ -913,6 +914,30 @@ class TestVerify:
         assert code == 0
         assert "root-bracket-containment: passed" in out
         assert "all passed: True" in out
+
+    @pytest.mark.parametrize("text, bases", [("x^2*y", 5), ("x*y + x + y^2", 3)])
+    def test_the_input_ideal_needs_no_basis(self, capsys, monkeypatch, text, bases):
+        # the iterated roots start at the first root, so the input ideal is
+        # never compared with it, and no check builds the input's basis
+        built = []
+        real = groebner.buchberger
+
+        def counted(gens, ring):
+            gens = tuple(gens)
+            built.append(gens)
+            return real(gens, ring)
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        code, record, _ = run_json(
+            capsys,
+            "verify", "--p", "2", "--vars", "x,y", "--level", "2", "--json", text,
+        )
+        assert code == 0 and record["result"]["all_passed"] is True
+        status = {c["name"]: c["status"] for c in record["result"]["checks"]}
+        assert status["iterated-root-agreement"] == "passed"
+        ring = Ring(p=2, var_names=("x", "y"))
+        assert (ring(text),) not in built
+        assert len(built) == bases
 
     def test_the_iterated_roots_run_on_the_walk(self):
         source = textwrap.dedent(inspect.getsource(cli._cmd_verify))

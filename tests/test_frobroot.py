@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import fsing.polyring as polyring
 from fsing import DomainError, Ideal, Ring, ideal_root, poly_root
 from fsing.frobroot import _COLUMNAR_TERMS, _root_gens
 from fsing.oracle import monomial_root_oracle
@@ -282,3 +283,61 @@ class TestLongGenerators:
         assert len(g) >= _COLUMNAR_TERMS
         assert self._check(ring, [g], 1) is False
         assert ring("1 + x") in _root_gens(ring, (g,), 1)
+
+    @staticmethod
+    def _no_floor_keys(monkeypatch):
+        def refuse(self, columns):
+            raise AssertionError("a floor key was computed")
+
+        monkeypatch.setattr(polyring.Codec, "keys_of", refuse)
+
+    def test_a_unique_constant_is_decided_before_any_floor_key(self, monkeypatch):
+        ring = Ring(p=3, var_names=("x", "y", "z"))
+        # x^2*y^2*z^2 has the only floor 0 and the only remainder (2, 2, 2);
+        # the other terms' remainders are all distinct in the first
+        # generator and partly shared in the second
+        distinct = ring(
+            "x^3 + x^4 + x^5 + y^4 + y^5 + z^4 + z^5 + x^4*y^4 + x^5*y^5*z^3"
+            " + x^2*y^2*z^2"
+        )
+        colliding = distinct + ring("x^6 + y^7 + x^3*y^3*z^5")
+        # in one variable, x^2 is the only term whose remainder is 2
+        single = Ring(p=3, var_names=("x",))
+        one = single("x^2 + x^3 + x^6 + x^9 + x^12 + x^15 + x^18 + x^21")
+        assert min(len(g) for g in (distinct, colliding, one)) >= _COLUMNAR_TERMS
+        self._no_floor_keys(monkeypatch)
+        for g in (distinct, colliding):
+            assert _root_gens(ring, (g,), 1) == (ring.one,)
+        assert _root_gens(single, (one,), 1) == (single.one,)
+        assert poly_root(one, 1).gens == (single.one,)
+
+    def test_constants_sharing_their_remainders_split_like_plain_dicts(self):
+        # every floor-0 term (1, x, y*z, x*y*z) shares its remainder with a
+        # term of floor above 0, so no component is a constant at level 1
+        ring = Ring(p=2, var_names=("x", "y", "z"))
+        g = ring("1 + x + y*z + x*y*z + x^2 + x^3 + y^3*z + x^3*y*z^3 + x^4*y^2")
+        assert len(g) >= _COLUMNAR_TERMS
+        assert self._check(ring, [g], 1) is False
+        assert ring("1 + x^2*y + x") in _root_gens(ring, (g,), 1)
+        # at level 2 only x^4*y^2 has a floor above 0, so 1 is a constant
+        assert self._check(ring, [g], 2) is True
+
+    @pytest.mark.parametrize("p, s", [(2, 2), (3, 1)])
+    def test_one_variable_generators_match_a_plain_dict_split(self, p, s):
+        ring = Ring(p=p, var_names=("x",), s=s)
+        rng = random.Random(p)
+        units = proper = 0
+        for e in (2, 3):
+            Q = ring.q**e
+            for _ in range(30):
+                # one exponent below Q at most, so its remainder is often
+                # shared by no other term
+                exps = {rng.randrange(Q)} if rng.random() < 0.7 else set()
+                while len(exps) < _COLUMNAR_TERMS:
+                    exps.add(rng.randrange(Q, 6 * Q))
+                g = ring.poly({(b,): rng.randrange(1, p) for b in exps})
+                if self._check(ring, [g], e):
+                    units += 1
+                else:
+                    proper += 1
+        assert units >= 15 and proper >= 15

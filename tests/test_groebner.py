@@ -178,6 +178,136 @@ class TestDivision:
         )
 
 
+def reference_division(f, divisors, below=None):
+    """Division in plain dicts of exponent tuples, one leading term at a time.
+
+    The leading term of what is left is reduced by the first divisor, in
+    order, whose leading monomial divides it and whose key bound, if any,
+    lies above its key; otherwise it moves to the remainder.  Returns the
+    quotients and the remainder as exponent -> coefficient dicts.
+    """
+    ring = f.ring
+    p, key = ring.p, ring.monomial_key()
+    left = dict(f.terms())
+    divs = [dict(d.terms()) for d in divisors]
+    leads = [max(d, key=key) for d in divs]
+    quots: list[dict] = [{} for _ in divs]
+    rem = {}
+    while left:
+        m = max(left, key=key)
+        c = left.pop(m)
+        for i, (d, lm) in enumerate(zip(divs, leads)):
+            if all(a <= b for a, b in zip(lm, m)) and (below is None or key(m) < below[i]):
+                shift = tuple(b - a for a, b in zip(lm, m))
+                coef = c * pow(d[lm], p - 2, p) % p
+                quots[i][shift] = coef
+                for dm, dc in d.items():
+                    if dm != lm:
+                        t = tuple(a + b for a, b in zip(shift, dm))
+                        v = (left.get(t, 0) - coef * dc) % p
+                        if v:
+                            left[t] = v
+                        else:
+                            left.pop(t, None)
+                break
+        else:
+            rem[m] = c
+    return quots, rem
+
+
+class TestDivisionContract:
+    """poly_division against a plain-dict division, term for term."""
+
+    @staticmethod
+    def _agree(f, divisors, below=None):
+        quots, rem = poly_division(f, divisors, below=below)
+        want_quots, want_rem = reference_division(f, divisors, below)
+        assert [dict(q.terms()) for q in quots] == want_quots
+        assert dict(rem.terms()) == want_rem
+        if want_rem:
+            key = f.ring.monomial_key()
+            assert rem.leading_monomial() == max(want_rem, key=key)
+        # the remainder's terms were received in decreasing order
+        assert list(rem._terms) == sorted(rem._terms, reverse=True)
+        return quots, rem
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    @pytest.mark.parametrize("p", [2, 3, 32003])
+    def test_matches_a_plain_dict_division(self, order, p):
+        rng = random.Random(f"{order}-{p}")
+        ring = Ring(p=p, var_names=("t", "x", "y"), order=order)
+        key = ring.monomial_key()
+        below_floor = bounded = 0
+        for _ in range(60):
+            f = rand_poly(rng, ring, 12, 6)
+            divisors = [
+                rand_poly(rng, ring, 3, 4, nonzero=True)
+                for _ in range(rng.randint(1, 4))
+            ]
+            floor = min(key(d.leading_monomial()) for d in divisors)
+            below_floor += any(key(m) < floor for m, _ in f.terms())
+            _, rem = self._agree(f, divisors)
+            assert normal_form(f, divisors) == rem
+            # bounds drawn from f's own keys, so some terms fall on each side
+            keys = [key(m) for m, _ in f.terms()] or [0]
+            below = [rng.choice(keys) + rng.randint(0, 1) for _ in divisors]
+            bounded += self._agree(f, divisors, below)[1] != rem
+        assert below_floor >= 20 and bounded >= 20
+
+    def test_a_term_at_the_least_leading_key_is_reduced(self):
+        ring = Ring(p=5, var_names=("x", "y", "z"))
+        x, y, z = ring.gens
+        divisors = [x**6 + z, x**5 + y]
+        # x^5 is the least leading monomial and is reduced; x^4*y, the next
+        # monomial of degree 5, is below it and stays
+        quots, rem = self._agree(x**5 + x**4 * y + z**3, divisors)
+        assert quots == [ring.zero, ring.one]
+        assert rem == x**4 * y + z**3 - y
+        quots, rem = self._agree(x**4 * y + z**3, divisors)
+        assert quots == [ring.zero, ring.zero]
+        assert rem == x**4 * y + z**3
+
+    def test_no_divisors_leave_the_whole_polynomial(self):
+        ring = Ring(p=7, var_names=("x", "y"), order="lex")
+        f = ring("3*x^2*y + x*y^5 + y^7 + 2")
+        quots, rem = self._agree(f, [])
+        assert quots == [] and rem == f
+        assert poly_division(ring.zero, []) == ([], ring.zero)
+
+    def test_bounds_that_exclude_every_term_reduce_nothing(self):
+        ring = Ring(p=3, var_names=("x", "y"))
+        x, y = ring.gens
+        f = x**3 + x * y + y + 1
+        # every key is at least 0, the key of 1
+        quots, rem = self._agree(f, [x, y], below=[0, 0])
+        assert quots == [ring.zero, ring.zero] and rem == f
+
+    def test_terms_below_every_leading_key_are_never_tested(self, monkeypatch):
+        # divisibility tests decode each popped term's word; once the popped
+        # key falls below x^5's, the least leading key, no word is decoded
+        ring = Ring(p=5, var_names=("x", "y", "z"))
+        key = ring.monomial_key()
+        x, y, z = ring.gens
+        divisors = [x**5 + y, x**6 + z**2]
+        low = ring.poly({(i, j, k): 1 for i in range(3) for j in range(3) for k in range(3)})
+        f = x**6 * y + x**5 + low
+        floor = key((5, 0, 0))
+        assert sum(key(m) < floor for m, _ in f.terms()) >= 20
+        for d in divisors:
+            d.reducer()
+        codec = ring._codec
+        seen = []
+        real = codec.word
+
+        def word(k):
+            seen.append(k)
+            return real(k)
+
+        monkeypatch.setattr(codec, "word", word)
+        self._agree(f, divisors)
+        assert seen and min(seen) >= floor
+
+
 class TestBuchberger:
     def test_monomial_redundancy_drops(self):
         x, _ = R2.gens
