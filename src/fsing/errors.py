@@ -69,8 +69,13 @@ class ResourceError(FSingError):
 
 
 def check_int(value: Any, what: str, least: int | None = None) -> None:
-    """Raise :class:`DomainError` unless ``value`` is an int, and >= ``least`` if given."""
-    if not isinstance(value, int) or (least is not None and value < least):
+    """Raise :class:`DomainError` unless ``value`` is an int but no bool, and
+    >= ``least`` if given."""
+    # a plain int passes the first test, so refusing bools costs it nothing
+    kind = value.__class__
+    if (kind is not int and (kind is bool or not isinstance(value, int))) or (
+        least is not None and value < least
+    ):
         bound = "" if least is None else f" >= {least}"
         try:
             shown = repr(value)

@@ -7,51 +7,132 @@ the floors, and those components generate the level-e root.  Coefficients
 ride along unchanged because c**q == c in F_p.  The root is the left
 adjoint of the bracket power: root(I, e) <= J exactly when I <= J^[q**e].
 
-Terms are stored under their order keys (see :mod:`fsing.polyring`), and
-the key is linear in the exponents, so a term of key k whose remainder
-has key r has the floor of key ``(k - r) // q**e``.  A generator of at
-least ``_COLUMNAR_TERMS`` terms is split by columns: its keys are decoded
-in one pass into one exponent column per variable, one pass per variable
-takes every remainder and one every floor, and the floors' keys are
-weighted sums of their columns.  Before it computes any floor, it looks
-for a constant component: a term's floor is zero exactly when each of its
-exponents is below q**e, and its component is that constant when no other
-term shares its remainder; then the root is the unit ideal.  Shorter
-generators are split term by term, which costs less below that size.
-When all remainders differ, every component is a single term and the
-root is the unit ideal exactly when some floor is zero; otherwise the
-terms are grouped by remainder and a constant component is looked for
-before any component is built.  Both splits give the same components in
-the same order.  A single term is
-split on its own, and its floor keeps its exponents as its leading
-monomial.
+Terms are stored under their order keys (see :mod:`fsing.polyring`).  At
+p = 2, q**e is 2**t and the split runs on words, the exponents packed one
+per field: a term's remainder is the low t bits of each field, and its
+floor is the word shifted down by t, masked to drop the bits pulled in
+from the next field.  No term is decoded.  Every exponent is below 2**20
+(the degree guard), so from t = 20 on every floor is 0, each nonzero
+generator gives the unit ideal, and no mask is built.
+
+At odd p, a term of key k whose remainder has key r has the floor of key
+``(k - r) // q**e``.  A generator of at least ``_COLUMNAR_TERMS`` terms is
+split by columns: its keys are decoded in one pass into one exponent
+column per variable, one pass per variable takes every remainder and one
+every floor, and the floors' keys are weighted sums of their columns.
+Shorter generators are split term by term, which costs less below that
+size.  A single term is split on its own, and its floor keeps its
+exponents as its leading monomial.
+
+A term's floor is 0 exactly when its exponents are all below q**e, and
+when no other term shares its remainder its component is a nonzero
+constant, so the root is the unit ideal.  At p = 2 and in the columnar
+split this is decided from the remainders before any floor key is
+computed; the term by term split finds such a component before it builds
+any.  Every split gives the same components, in the order of their
+remainders' exponent tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .errors import check_int, check_member
 from .groebner import Ideal
-from .polyring import FROBENIUS_LEVEL_CAP, Exponents, Poly, Ring
+from .polyring import FROBENIUS_LEVEL_CAP, Poly, Ring
 
-# Term count from which a generator is split by columns.  The term by term
-# split decodes and encodes every term, and the columnar one pays a fixed
-# cost per generator; on two and three variables (CPython 3.11) they cross
-# between 8 and 16 terms, and the fthreshold deck timed the same at both.
+# Term count from which a generator is split by columns at odd p.  The term
+# by term split decodes and encodes every term, and the columnar one pays a
+# fixed cost per generator; on two and three variables (CPython 3.11) they
+# cross between 8 and 16 terms, and the fthreshold deck timed the same at both.
 _COLUMNAR_TERMS = 8
+
+
+def _components(
+    ring: Ring, rems: list[Hashable], floors: list[int], coeffs: Iterable[int]
+) -> list[Poly] | None:
+    # The components of one generator from each term's remainder (anything
+    # that ranks as the patterns rank), floor key and coefficient, sorted
+    # by pattern; None when one of them is a nonzero constant.  A one-term
+    # component's floor is its leading monomial.
+    if len(set(rems)) == len(rems):
+        # every component is a single term
+        if 0 in floors:
+            return None
+        return [
+            Poly(ring, {floor: c}, floor)
+            for _, floor, c in sorted(zip(rems, floors, coeffs))
+        ]
+    components: dict[Hashable, dict[int, int]] = {}
+    get = components.get
+    for rem, floor, c in zip(rems, floors, coeffs):
+        part = get(rem)
+        if part is None:
+            components[rem] = {floor: c}
+        else:
+            part[floor] = c
+    if any(len(part) == 1 and 0 in part for part in components.values()):
+        return None
+    out = []
+    for rem in sorted(components):
+        part = components[rem]
+        lm = next(iter(part)) if len(part) == 1 else None
+        out.append(Poly(ring, part, lm))
+    return out
+
+
+def _lone_constant(rems: list[Hashable], consts: list[Hashable]) -> bool:
+    # whether a term of floor 0, of remainder in consts, shares its
+    # remainder with no other term: then its component is that constant
+    return bool(consts) and (
+        len(set(rems)) == len(rems) or 1 in map(Counter(rems).__getitem__, consts)
+    )
+
+
+def _root_gens_2(ring: Ring, gens: Iterable[Poly], t: int) -> tuple[Poly, ...]:
+    # The split at q**e = 2**t on words.  Every exponent is at most
+    # MAX_TOTAL_DEGREE < 2**FROBENIUS_LEVEL_CAP, so from there on every
+    # floor is 0.
+    if t >= FROBENIUS_LEVEL_CAP:
+        return (ring.one,) if any(gens) else ()
+    codec = ring._codec
+    word, key = codec.word, codec.key
+    R, F = codec._split_masks(t)
+    out: list[Poly] = []
+    for g in gens:
+        terms = g._terms
+        if len(terms) == 1:
+            for k, c in terms.items():
+                floor = (word(k) >> t) & F
+                if not floor:
+                    return (ring.one,)
+                k = key(floor)
+                out.append(Poly(ring, {k: c}, k))
+            continue
+        words = codec._words(terms)
+        floors = [(w >> t) & F for w in words]
+        if 0 in floors:
+            # decided before any floor key: a term of floor 0 is its remainder
+            rems = [w & R for w in words]
+            if _lone_constant(rems, [r for r, f in zip(rems, floors) if not f]):
+                return (ring.one,)
+        parts = _components(ring, codec._ranks(words, t), codec._keys(floors), terms.values())
+        if parts is None:
+            return (ring.one,)
+        out += parts
+    return tuple(out)
 
 
 def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
     # For each nonzero generator, one component polynomial per remainder
-    # pattern, sorted by pattern.  A single term has one component, its
-    # floor, which is also that component's leading monomial; so is each
-    # one-term component of a long generator.  A component that is a
-    # nonzero constant makes the root the unit ideal, so the scan returns
-    # the constant 1 alone as soon as it finds one.  No exponent exceeds
+    # pattern, sorted by pattern.  A component that is a nonzero constant
+    # makes the root the unit ideal, so the scan returns the constant 1
+    # alone as soon as it finds one.  No exponent exceeds
     # MAX_TOTAL_DEGREE < q**FROBENIUS_LEVEL_CAP, so capping the level
     # changes no floor or remainder, and a huge q**e is never formed.
+    if ring.p == 2:
+        return _root_gens_2(ring, gens, ring.s * min(e, FROBENIUS_LEVEL_CAP))
     Q = ring.q ** min(e, FROBENIUS_LEVEL_CAP)
     codec = ring._codec
     decode, encode = codec.decode, codec.encode
@@ -75,39 +156,15 @@ def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
         else:
             cols = codec.columns(terms)
             rems = list(zip(*[[b % Q for b in col] for col in cols]))
-            # decided before any floor key: a term whose exponents are all
-            # below Q has floor 0, and its component is that constant
-            # unless another term shares its remainder
+            # decided before any floor key (see the module docstring)
             tops = map(max, *cols) if len(cols) > 1 else cols[0]
-            consts = [rem for rem, top in zip(rems, tops) if top < Q]
-            if consts and (
-                len(set(rems)) == len(rems) or 1 in map(Counter(rems).__getitem__, consts)
-            ):
+            if _lone_constant(rems, [rem for rem, top in zip(rems, tops) if top < Q]):
                 return (ring.one,)
             floors = codec.keys_of([[b // Q for b in col] for col in cols])
-        if len(set(rems)) == len(rems):
-            # every component is a single term
-            if 0 in floors:
-                return (ring.one,)
-            out += [
-                Poly(ring, {floor: c}, floor)
-                for _, floor, c in sorted(zip(rems, floors, terms.values()))
-            ]
-            continue
-        components: dict[Exponents, dict[int, int]] = {}
-        get = components.get
-        for rem, floor, c in zip(rems, floors, terms.values()):
-            part = get(rem)
-            if part is None:
-                components[rem] = {floor: c}
-            else:
-                part[floor] = c
-        if any(len(part) == 1 and 0 in part for part in components.values()):
+        parts = _components(ring, rems, floors, terms.values())
+        if parts is None:
             return (ring.one,)
-        for rem in sorted(components):
-            part = components[rem]
-            lm = next(iter(part)) if len(part) == 1 else None
-            out.append(Poly(ring, part, lm))
+        out += parts
     return tuple(out)
 
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import add, neg
+from operator import add
 from struct import Struct, unpack_from
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -132,11 +132,12 @@ class Codec:
     (exponents to key, for exponents in [0, 2**32)), ``decode`` (key to
     exponents), ``word`` and ``key`` (key to word and back), ``degree``
     (key to total degree) and ``word_degree`` (word to total degree).
-    ``weights[i]`` is the key of the i-th variable.
+    ``weights[i]`` is the key of the i-th variable.  ``_words`` and
+    ``_keys`` convert many keys to words and back.
     """
 
     __slots__ = ("n", "guard", "weights", "encode", "decode", "word", "key", "degree",
-                 "word_degree", "_fields", "_words")
+                 "word_degree", "_fields", "_words", "_keys")
 
     def __init__(self, order: str, n: int):
         F = _BITS
@@ -158,7 +159,7 @@ class Codec:
 
             self.encode = lambda m: from_bytes(pack(*m), "big")
             self.word = self.key = lambda k: k
-            self._words = lambda keys: keys
+            self._words = self._keys = lambda keys: keys
             self.degree = word_degree
         elif order == "grevlex":
             # P = d * B**n - key lies in [0, B**n), so it is -key mod B**n
@@ -170,8 +171,9 @@ class Codec:
 
             self.encode = lambda m: (sum(m) << S) - from_bytes(pack(*m), "little")
             self.word = lambda k: -k & low
-            self._words = lambda keys: map(low.__and__, map(neg, keys))
+            self._words = lambda keys: [-k & low for k in keys]
             self.key = lambda w: (word_degree(w) << S) - w
+            self._keys = lambda words: [(((w * ones >> top) & _MASK) << S) - w for w in words]
             self.degree = lambda k: -(-k >> S)
         else:
             rest = (1 << top) - 1
@@ -192,7 +194,8 @@ class Codec:
 
             self.encode = lambda m: key(from_bytes(pack(*m), "little"))
             self.word, self.key, self.degree = word, key, degree
-            self._words = lambda keys: map(word, keys)
+            self._words = lambda keys: list(map(word, keys))
+            self._keys = lambda words: list(map(key, words))
         self.word_degree = word_degree
         self.decode = decode
         self.n = n
@@ -217,6 +220,24 @@ class Codec:
         for w, col in zip(self.weights[1:], columns[1:]):
             keys = map(add, keys, map(w.__mul__, col))
         return list(keys)
+
+    def _split_masks(self, t: int) -> tuple[int, int]:
+        # the low t bits of every field, and the bits of every field that a
+        # shift right by t leaves from the field itself (0 < t < 32)
+        ones = self.guard >> (_BITS - 1)
+        return ones * ((1 << t) - 1), ones * (_MASK >> t)
+
+    def _ranks(self, words: Sequence[int], t: int) -> list[int]:
+        # ints that rank the low t bits of each field of the words as their
+        # exponent tuples rank: t bits per variable, x_1's the highest
+        low = (1 << t) - 1
+        fields = iter(self._fields)
+        s = next(fields) * _BITS
+        ranks = [(w >> s) & low for w in words]
+        for j in fields:
+            s = j * _BITS
+            ranks = [(r << t) | ((w >> s) & low) for r, w in zip(ranks, words)]
+        return ranks
 
     def divides(self, a: int, b: int) -> bool:
         """Whether word a divides word b."""

@@ -22,7 +22,9 @@ from fsing import (
     Ring,
     RingMismatchError,
     buchberger,
+    fpt_bracket,
     ideal_root,
+    je_chain,
     normal_form,
     nu,
     poly_root,
@@ -220,6 +222,37 @@ def test_a_ring_with_a_huge_q_still_names_itself():
         Ideal(Ring(p=2, var_names=("x",)), (big.gens[0],))
     with pytest.raises(DomainError, match="bad exponent tuple"):
         big.monomial((-1,))
+
+
+# A bool is an int to Python; as a level, count, step or coefficient it is
+# a mistake, and each of these calls used to run with True read as 1 or
+# False as 0.
+BOOLS = {
+    "poly_root(f, True)": lambda: poly_root(x**5 * y**3 + x * y, True),
+    "ideal_root(I, True)": lambda: ideal_root(I, True),
+    "Ideal.bracket_power(True)": lambda: I.bracket_power(True),
+    "Poly.frobenius_power(True)": lambda: x.frobenius_power(True),
+    "Poly ** True": lambda: x**True,
+    "Ring(s=True)": lambda: Ring(p=2, var_names=("x",), s=True),
+    "Ring(p=True)": lambda: Ring(p=True, var_names=("x",)),
+    "Ring.constant(True)": lambda: R.constant(True),
+    "Ring.monomial(coeff=True)": lambda: R.monomial((1, 0), True),
+    "Ring.poly({m: True})": lambda: R.poly({(1, 0): True}),
+    "minimalize(iteration_budget=False)": lambda: FrobModule.validate(
+        Ideal(R, ()), Ideal(R, (R.one,)), x
+    ).minimalize(iteration_budget=False),
+    "test_ideal(f, True, 1)": lambda: tau(x * y, True, 1),
+    "nu(f, True)": lambda: nu(x * y, True),
+    "je_chain(f, True)": lambda: je_chain(x * y, True),
+    "fpt_bracket(f, True)": lambda: fpt_bracket(x * y, True),
+    "monomial_root_oracle(m, 2, True)": lambda: monomial_root_oracle((5,), 2, True),
+}
+
+
+@pytest.mark.parametrize("call", BOOLS.values(), ids=BOOLS)
+def test_a_bool_is_no_integer(call):
+    with pytest.raises(DomainError, match=r"must be an integer.*, got (True|False)$"):
+        call()
 
 
 def test_check_int_message():

@@ -341,3 +341,102 @@ class TestLongGenerators:
                 else:
                     proper += 1
         assert units >= 15 and proper >= 15
+
+
+class TestCharacteristicTwo:
+    """The word split at p = 2, where q**e = 2**t, against plain dicts."""
+
+    @staticmethod
+    def _ideal(rng, ring, Q):
+        # one to three generators: single terms, short and long ones; half
+        # the time every term has an exponent at least Q, so no floor is 0,
+        # and half the time terms copy an earlier one's remainder
+        top = min(3 * Q, polyring.MAX_TOTAL_DEGREE // ring.n)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            size = rng.choice((1, 1, 2, 3, 5, _COLUMNAR_TERMS, 20, 40))
+            proper, shared = rng.random() < 0.5, rng.random() < 0.5
+            terms = {}
+            for _ in range(size):
+                m = [rng.randint(0, top) for _ in range(ring.n)]
+                if shared and terms:
+                    m = list(rng.choice(list(terms)))
+                    m[rng.randrange(ring.n)] += Q * rng.randint(1, 2)
+                if proper and Q <= top:
+                    j = rng.randrange(ring.n)
+                    m[j] = max(m[j], Q)
+                if sum(m) <= polyring.MAX_TOTAL_DEGREE:
+                    terms[tuple(m)] = 1
+            gens.append(ring.poly(terms))
+        return gens
+
+    def _cases(self):
+        rng = random.Random(2)
+        for s in (1, 2, 3):
+            for order in ("lex", "grevlex", "elim"):
+                for n in range(1, 5):
+                    ring = Ring(p=2, var_names=("x", "y", "z", "w")[:n], s=s, order=order)
+                    for e in range(1, 26):
+                        Q = ring.q ** min(e, FROBENIUS_LEVEL_CAP)
+                        for _ in range(2):
+                            yield ring, self._ideal(rng, ring, Q), e
+
+    def test_matches_a_plain_dict_split(self):
+        seen = {"unit": 0, "proper": 0, "shared": 0, "single": 0, "short": 0, "long": 0}
+        widths = set()
+        for ring, gens, e in self._cases():
+            Q = ring.q ** min(e, FROBENIUS_LEVEL_CAP)
+            widths.add(Q.bit_length() - 1)
+            got = _root_gens(ring, gens, e)
+            want = _plain_split([dict(g.terms()) for g in gens], Q)
+            if want is None:
+                assert got == (ring.one,)
+                seen["unit"] += 1
+                continue
+            assert [dict(g.terms()) for g in got] == want
+            for g in got:
+                if len(g) == 1:
+                    assert g.leading_monomial() == next(iter(dict(g.terms())))
+            seen["proper"] += 1
+            for g in gens:
+                rems = {tuple(b % Q for b in m) for m, _ in g.terms()}
+                seen["shared"] += len(rems) < len(g)
+                kind = "single" if len(g) == 1 else "short" if len(g) < _COLUMNAR_TERMS else "long"
+                seen[kind] += 1
+        assert min(seen.values()) >= 40, seen
+        assert {19, 20, 32, 33, 60} <= widths
+
+    def test_from_width_20_every_floor_is_0_and_no_mask_is_built(self, monkeypatch):
+        # every exponent is below 2**20, so each nonzero generator gives (1)
+        def refuse(self, t):
+            raise AssertionError(f"a mask was built for t = {t}")
+
+        monkeypatch.setattr(polyring.Codec, "_split_masks", refuse)
+        for s, e in ((1, 20), (1, 10**6), (2, 10), (3, 7), (7, 3)):
+            ring = Ring(p=2, var_names=("x", "y"), s=s)
+            x, y = ring.gens
+            big = x ** (2**19 + 1) * y ** (2**18 + 1) + x
+            assert _root_gens(ring, (ring.zero, big, x), e) == (ring.one,)
+            assert _root_gens(ring, (ring.zero,), e) == ()
+            assert ideal_root(Ideal(ring, (y**3,)), e).is_unit()
+
+    def test_no_term_is_decoded_or_encoded(self, monkeypatch):
+        # at p = 2 a root never turns a key into exponents, nor exponents
+        # into a key, one at a time or by columns
+        cases = [case for i, case in enumerate(self._cases()) if i % 7 == 0]
+        want = [
+            _plain_split([dict(g.terms()) for g in gens], ring.q ** min(e, FROBENIUS_LEVEL_CAP))
+            for ring, gens, e in cases
+        ]
+
+        def refuse(self, *args):
+            raise AssertionError("a term was decoded or encoded")
+
+        for name in ("decode", "encode", "columns"):
+            monkeypatch.setattr(polyring.Codec, name, refuse)
+        got = [_root_gens(ring, gens, e) for ring, gens, e in cases]
+        monkeypatch.undo()
+        for (ring, _, _), out, parts in zip(cases, got, want):
+            unit = [{(0,) * ring.n: 1}]
+            assert [dict(g.terms()) for g in out] == (unit if parts is None else parts)
+        assert sum(parts is not None for parts in want) >= 40

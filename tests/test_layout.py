@@ -7,7 +7,11 @@ An ``assert`` statement vanishes under ``python -O`` and an
 The oracles share no code with the fast paths, so ``oracle.py`` reads
 polynomials only through their public surface (``terms()``,
 ``leading_monomial()`` and the like): no private attribute such as the
-key-indexed ``_terms``, no reducer record and no order-key codec.
+key-indexed ``_terms``, no reducer record and no order-key codec.  The
+other direction, that no module but ``cli.py`` imports ``fsing.oracle``,
+is kept by the AST scan of ``tests/test_oracle.py``
+(``test_only_the_cli_imports_the_oracles``, with planted imports in
+``test_oracle_import_detector``).
 """
 
 from __future__ import annotations
