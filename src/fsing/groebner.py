@@ -50,14 +50,12 @@ A quotient (G : f) is read off the same step, run once on G's reduced
 basis with every new element carrying its whole cofactor u (Gao, Guan and
 Volny).  The elements of (G : f) it meets lead the syzygy criterion's
 monomials: G's own elements, and the cofactor of each J-pair that
-reduces to zero, less q_c*u_c for each new divisor c of that reduction.  A unit does not end this step.
-At its end the syzygy criterion's minimal monomials generate the leading
-monomials of (G : f), so their elements, tail-reduced, are its reduced
-basis.  A lex or elim ring runs the step in its grevlex copy, since in
-those orders the step would also build their costly basis of G + (f).
-Before the step, colon takes two shortcuts that compute no basis: a
-monomial ideal divided by a monomial n is (m_i / gcd(m_i, n)), and f in I
-with I's basis cached gives (1).
+reduces to zero, less q_c*u_c for each new divisor c of that reduction.
+A unit does not end this step.  At its end the syzygy criterion's minimal
+monomials generate the leading monomials of (G : f), so their elements,
+tail-reduced, are its reduced basis.  Before the step, colon takes two
+shortcuts that compute no basis: a monomial ideal divided by a monomial n
+is (m_i / gcd(m_i, n)), and f in I with I's basis cached gives (1).
 
 Intersection owns the exact shortcuts and the one general route, the
 auxiliary-variable elimination (Cox, Little and O'Shea, *Ideals,
@@ -66,6 +64,13 @@ compute a basis of their own: an empty side is the intersection;
 monomial ideals meet in a side the other contains, else (m_i) ∩ (n_j) =
 (lcm(m_i, n_j)); and an ideal inside one whose reduced basis is cached is
 the intersection.
+
+A lex or elim ring runs the quotient step and the elimination in its
+grevlex copy, through one helper that carries the inputs there and the
+answer back: in those orders the step would build their costly basis of
+G + (f), and in grevlex the auxiliary variable joins and leaves with
+every key unchanged.  Sums of terms go through ``polyring.accumulate``,
+except in division's heap loop.
 
 The context variable ``MAX_SPAIRS`` caps the S-pairs of every basis or
 quotient computation: the J-pairs that pass both criteria and are reduced.
@@ -86,7 +91,7 @@ from contextvars import ContextVar
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from math import inf
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DomainError,
@@ -95,7 +100,7 @@ from .errors import (
     check_int,
     check_member,
 )
-from .polyring import WORD_LIMIT, Poly, Ring, check_degree
+from .polyring import WORD_LIMIT, Poly, Ring, accumulate, check_degree
 
 # Cap on the J-pairs reduced per basis or quotient computation, read once
 # per buchberger or colon call; the CLI's ``--budget-spairs`` sets it for one command.
@@ -133,14 +138,7 @@ def _add_product(acc: dict[int, int], p: int, a: Poly, b: Poly, scale: int = 1) 
     check_degree(a.total_degree() + b.total_degree())
     right = b._terms.items()
     for k1, c1 in a._terms.items():
-        c1 = c1 * scale % p
-        for k2, c2 in right:
-            k = k1 + k2
-            v = (acc.get(k, 0) + c1 * c2) % p
-            if v:
-                acc[k] = v
-            elif k in acc:
-                del acc[k]
+        accumulate(acc, p, right, c1 * scale, k1)
 
 
 def poly_division(
@@ -224,6 +222,7 @@ def poly_division(
             quots[i][sk] = coef
         for dk, dc in tail:
             nk = sk + dk
+            # the accumulator inline: a new key must also join the heap
             v = work.get(nk)
             if v is None:
                 work[nk] = -coef * dc % p
@@ -264,15 +263,7 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     lck = codec.key(lcm)
     shift = lck - kf
     out = {shift + k: c for k, c in tail_f}
-    shift = lck - kg
-    p = f.ring.p
-    for k, c in tail_g:
-        k += shift
-        v = (out.get(k, 0) - c) % p
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
+    accumulate(out, f.ring.p, tail_g, -1, lck - kg)
     return Poly(f.ring, out)
 
 
@@ -666,41 +657,13 @@ class Ideal:
                 )
         if self._gb is not None and self.contains(f):
             return Ideal._of_basis(ring, (ring.one,))
-        if ring.order == "grevlex":
-            return Ideal._of_basis(ring, _quotient(self, f))
-        # Signatures in lex or elim order make the step build the basis of
-        # I + (f) in that order, which can cost far more than the quotient.
-        copy = replace(ring, order="grevlex")
-        try:
-            gens = _quotient(Ideal._of_checked(copy, _carried(self.gens, copy)), _rekeyed(f, copy))
-        except ResourceError as exc:
-            if exc.partial is None:
-                raise
-            raise ResourceError(str(exc), partial=_carried(exc.partial, ring)) from None
-        return Ideal._of_checked(ring, _carried(gens, ring))
+        gens = _in_grevlex(self, (f,), _quotient)
+        # only in a grevlex ring is the copy's reduced basis the ideal's own
+        return (Ideal._of_basis if ring.order == "grevlex" else Ideal._of_checked)(ring, gens)
 
-    def _eliminate(self, other: "Ideal") -> list[Poly]:
-        # Generators of I ∩ J: the reduced basis of t·I + (1 - t)·J in the
-        # elimination order, with every element free of t projected back.
-        # A budget's partial keeps the elements free of t, which lie in I ∩ J.
-        ext = _extended_ring(self.ring)
-        t = ext.gens[0]
-        one_minus_t = ext.one - t
-        lifted = [t * _lift(g, ext) for g in self.gens]
-        lifted += [one_minus_t * _lift(g, ext) for g in other.gens]
-        # in the elimination order, an element is free of t exactly when its
-        # leading monomial is, that is when its leading key is below t's
-        free = t._lead()
-        try:
-            basis = buchberger(lifted, ext)
-        except ResourceError as exc:
-            if exc.partial is None:
-                raise
-            raise ResourceError(
-                str(exc),
-                partial=tuple(_project(h, self.ring) for h in exc.partial if h._lead() < free),
-            ) from None
-        return [_project(h, self.ring) for h in basis if h._lead() < free]
+    def _eliminate(self, other: "Ideal") -> tuple[Poly, ...]:
+        # generators of I ∩ J, by elimination in the grevlex copy
+        return _in_grevlex(self, other.gens, _eliminated)
 
     # -- rendering -----------------------------------------------------------
 
@@ -718,23 +681,67 @@ def _monomial_ideal(ring: Ring, keys: Iterable[int]) -> Ideal:
     return Ideal._of_checked(ring, tuple(_monomial(ring, k) for k in dict.fromkeys(keys)))
 
 
-def _quotient(ideal: Ideal, f: Poly) -> tuple[Poly, ...]:
+def _in_grevlex(ideal: Ideal, polys: Sequence[Poly],
+                compute: Callable[[Ideal, Sequence[Poly]], Sequence[Poly]]) -> tuple[Poly, ...]:
+    # compute(ideal, polys) in the grevlex copy of the ideal's ring, whose
+    # keys the elimination lifts and projects unchanged, and where a colon
+    # does not build the costly basis of I + (f) in a lex or elim order.
+    # The inputs are carried there, and the answer and a budget's partial
+    # back; a grevlex ring is its own copy.
+    ring = ideal.ring
+    if ring.order == "grevlex":
+        return tuple(compute(ideal, polys))
+    copy = replace(ring, order="grevlex")
+    try:
+        answer = compute(Ideal._of_checked(copy, _carried(ideal.gens, copy)),
+                         _carried(polys, copy))
+    except ResourceError as exc:
+        if exc.partial is None:
+            raise
+        raise ResourceError(str(exc), partial=_carried(exc.partial, ring)) from None
+    return _carried(answer, ring)
+
+
+def _quotient(ideal: Ideal, divisor: Sequence[Poly]) -> tuple[Poly, ...]:
     # the reduced basis of (I : f), read off one tracked G2V step on I's basis
+    (f,) = divisor
     return _g2v_step(ideal.groebner(), f, 0, _spair_budget(), track=True)[0]
 
 
-def _rekeyed(g: Poly, ring: Ring, lift: int = 0, drop: int = 0) -> Poly:
-    # g in ``ring``, whose order keys differ from g's own: each monomial is
-    # decoded, given ``lift`` leading zero exponents or stripped of its
-    # first ``drop``, and encoded again
-    decode, key = g.ring._codec.decode, ring.monomial_key()
-    pad = (0,) * lift
-    return Poly(ring, {key(pad + decode(k)[drop:]): c for k, c in g._terms.items()})
+def _eliminated(ideal: Ideal, others: Sequence[Poly]) -> list[Poly]:
+    # Generators of I ∩ J, J = (others), in a grevlex ring: the reduced
+    # basis of t·I + (1 - t)·J in the elimination order, whose weights on
+    # the last n variables are the grevlex ones, with every element free of
+    # t projected back.  A budget's partial keeps those found so far.
+    ring = ideal.ring
+    ext = _extended_ring(ring)
+    t = ext.gens[0]
+    one_minus_t = ext.one - t
+    lifted = [t * Poly(ext, g._terms) for g in ideal.gens]
+    lifted += [one_minus_t * Poly(ext, g._terms) for g in others]
+    # in the elimination order, an element is free of t exactly when its
+    # leading monomial is, that is when its leading key is below t's
+    free = t._lead()
+    try:
+        basis = buchberger(lifted, ext)
+    except ResourceError as exc:
+        if exc.partial is None:
+            raise
+        raise ResourceError(
+            str(exc), partial=tuple(_project(h, ring) for h in exc.partial if h._lead() < free)
+        ) from None
+    return [_project(h, ring) for h in basis if h._lead() < free]
 
 
 def _carried(polys: Iterable[Poly], ring: Ring) -> tuple[Poly, ...]:
-    # the same polynomials in a ring that differs only in its order
-    return tuple(_rekeyed(g, ring) for g in polys)
+    # the same polynomials in a ring that differs only in its order: each
+    # monomial is decoded and encoded again
+    key = ring.monomial_key()
+    out = []
+    for g in polys:
+        decode = g.ring._codec.decode
+        out.append(Poly(ring, {key(decode(k)): c for k, c in g._terms.items()}))
+    return tuple(out)
 
 
 def _extended_ring(ring: Ring) -> Ring:
@@ -746,20 +753,8 @@ def _extended_ring(ring: Ring) -> Ring:
     return Ring(p=ring.p, var_names=(name,) + ring.var_names, s=ring.s, order="elim")
 
 
-# The elim weights of the n + 1 variables of an extended ring are, on its
-# last n, the grevlex weights of n variables, so a grevlex polynomial keeps
-# its keys when it is lifted or projected.
-
-
-def _lift(g: Poly, ext: Ring) -> Poly:
-    if g.ring.order == "grevlex":
-        return Poly(ext, g._terms)
-    return _rekeyed(g, ext, lift=1)
-
-
 def _project(g: Poly, base: Ring) -> Poly:
+    # g, free of the aux variable, in the grevlex ring it extends
     if g and g.ring._codec.decode(g._lead())[0] != 0:
         raise InvariantError("projection applied to a term with the aux variable")
-    if base.order == "grevlex":
-        return Poly(base, g._terms)
-    return _rekeyed(g, base, drop=1)
+    return Poly(base, g._terms)

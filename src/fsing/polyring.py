@@ -9,7 +9,9 @@ dict mapping order keys to coefficients reduced into [1, p-1].  The zero
 polynomial is the empty dict, so every polynomial has exactly one
 representation.  Keys are additive and linear in the exponents, so a
 product of monomials is one integer addition, a Frobenius twist one
-multiplication by q**e, and the order one integer comparison.
+multiplication by q**e, and the order one integer comparison.  Every
+sum is gathered by one accumulator, :func:`accumulate`; only the product
+keeps the same rule inline.
 
 Exponent tuples appear only at the boundary: :meth:`Ring.poly`,
 :meth:`Ring.monomial` and the parser encode them, and :meth:`Poly.terms`,
@@ -27,7 +29,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import add
 from struct import Struct, unpack_from
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -50,6 +51,20 @@ def check_degree(degree: int) -> None:
     """Raise :class:`ResourceError` above the guard, without printing ``degree``."""
     if degree > MAX_TOTAL_DEGREE:
         raise ResourceError(f"a result would exceed the degree guard {MAX_TOTAL_DEGREE}")
+
+
+def accumulate(acc: dict[int, int], p: int, items: Iterable[tuple[int, int]],
+               scale: int = 1, shift: int = 0) -> None:
+    """Add scale * x**shift * items, (key, coefficient) pairs, into the term
+    dict ``acc`` in place, mod p, deleting zero sums: the one representation."""
+    get = acc.get
+    for k, c in items:
+        k += shift
+        v = (get(k, 0) + scale * c) % p
+        if v:
+            acc[k] = v
+        elif k in acc:
+            del acc[k]
 
 
 ORDER_NAMES = ("grevlex", "lex", "elim")
@@ -216,10 +231,11 @@ class Codec:
 
     def keys_of(self, columns: Sequence[Sequence[int]]) -> list[int]:
         """The keys of the monomials whose exponents ``columns`` lists, per variable."""
-        keys = map(self.weights[0].__mul__, columns[0])
+        w0 = self.weights[0]
+        keys = [w0 * b for b in columns[0]]
         for w, col in zip(self.weights[1:], columns[1:]):
-            keys = map(add, keys, map(w.__mul__, col))
-        return list(keys)
+            keys = [k + w * b for k, b in zip(keys, col)]
+        return keys
 
     def _split_masks(self, t: int) -> tuple[int, int]:
         # the low t bits of every field, and the bits of every field that a
@@ -355,8 +371,10 @@ class Ring:
         # Kept inline, not check_int and check_degree: this runs once per
         # term of Ring.poly and Ring.monomial, and the two calls made the
         # monomial-heavy acceptance criterion 3 about 5% slower.  A sum of
-        # nonnegative numbers is an int only if every term is.
-        if len(m) != self.n or min(m) < 0 or not isinstance(degree := sum(m), int):
+        # nonnegative numbers is an int only if every term is; a bool sums
+        # as one, so its type refuses it.
+        if (len(m) != self.n or min(m) < 0 or not isinstance(degree := sum(m), int)
+                or bool in map(type, m)):
             raise DomainError(f"bad exponent tuple for {self}")
         if degree > MAX_TOTAL_DEGREE:
             check_degree(degree)
@@ -369,14 +387,7 @@ class Ring:
         for m, c in terms.items():
             k = key(self._checked(tuple(m)))
             check_int(c, "a coefficient")
-            c %= self.p
-            if c:
-                prev = clean.get(k, 0)
-                tot = (prev + c) % self.p
-                if tot:
-                    clean[k] = tot
-                elif k in clean:
-                    del clean[k]
+            accumulate(clean, self.p, ((k, c),))
         return Poly(self, clean)
 
     def __call__(self, text: "str | int | Poly") -> "Poly":
@@ -550,15 +561,8 @@ class Poly:
         return other
 
     def __add__(self, other: "Poly | int") -> "Poly":
-        other = self._coerce(other)
-        p = self.ring.p
         out = dict(self._terms)
-        for k, c in other._terms.items():
-            v = (out.get(k, 0) + c) % p
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+        accumulate(out, self.ring.p, self._coerce(other)._terms.items())
         return Poly(self.ring, out)
 
     __radd__ = __add__
@@ -568,7 +572,9 @@ class Poly:
         return Poly(self.ring, {k: p - c for k, c in self._terms.items()}, self._lm)
 
     def __sub__(self, other: "Poly | int") -> "Poly":
-        return self + (-self._coerce(other))
+        out = dict(self._terms)
+        accumulate(out, self.ring.p, self._coerce(other)._terms.items(), -1)
+        return Poly(self.ring, out)
 
     def __rsub__(self, other: "Poly | int") -> "Poly":
         return self._coerce(other) - self
@@ -583,6 +589,7 @@ class Poly:
         out: dict[int, int] = {}
         get = out.get
         right = other._terms.items()
+        # the accumulator inline: one call per left term made this loop slower
         for k1, c1 in self._terms.items():
             for k2, c2 in right:
                 k = k1 + k2
@@ -750,9 +757,7 @@ class _PolyParser:
         return result
 
     def expr(self) -> Poly:
-        p = self.p
         out: dict[int, int] = {}
-        get = out.get
         kind, value, _ = self.peek()
         sign = 1
         while True:
@@ -765,12 +770,7 @@ class _PolyParser:
                 items = ((k, c),) if c else ()
             else:
                 items = term._terms.items()
-            for k, c in items:
-                v = (get(k, 0) + sign * c) % p
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
+            accumulate(out, self.p, items, sign)
             kind, value, _ = self.peek()
             if not (kind == "op" and value in "+-"):
                 return Poly(self.ring, out)

@@ -255,6 +255,27 @@ def test_a_bool_is_no_integer(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: R.monomial((True, 0)),
+        lambda: R.monomial((0, False)),
+        lambda: R.poly({(True, 1): 1}),
+        lambda: R.poly({(1, 0): 1, (False, True): 1}),
+    ],
+    ids=["monomial-true", "monomial-false", "poly", "poly-second-term"],
+)
+def test_a_bool_is_no_exponent(call):
+    with pytest.raises(DomainError, match="^bad exponent tuple"):
+        call()
+
+
+def test_a_bool_exponent_names_no_coefficient():
+    assert x.coeff((1, 0)) == 1
+    assert x.coeff((True, 0)) == 0
+    assert R.one.coeff((False, False)) == 0
+
+
 def test_check_int_message():
     with pytest.raises(DomainError, match=r"^the level must be an integer >= 1, got 0$"):
         check_int(0, "the level", 1)

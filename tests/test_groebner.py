@@ -821,12 +821,18 @@ def eliminating_functions(source: str) -> set[str]:
 class TestColon:
     def test_colon_is_read_off_the_one_signature_step(self):
         # colon neither meets nor eliminates, intersection alone eliminates,
-        # and one function builds S-polynomials, so there is one J-pair loop
+        # and one function builds S-polynomials, so there is one J-pair loop.
+        # Colon and the elimination reach grevlex through one helper, the
+        # only code that makes the copy or re-keys terms, and the elimination
+        # lifts and projects only there.
         source = pathlib.Path(groebner.__file__).read_text()
         meets, routes = colon_routes(source)
         assert not meets and "_eliminate" not in routes
         assert eliminating_functions(source) == {"Ideal.intersection"}
         assert len(callers(source, "_spoly")) == 1
+        assert callers(source, "_in_grevlex") == {"Ideal.colon", "Ideal._eliminate"}
+        assert callers(source, "replace") == callers(source, "_carried") == {"_in_grevlex"}
+        assert callers(source, "_extended_ring") == callers(source, "_project") == {"_eliminated"}
 
     def test_the_scan_finds_a_second_pair_loop(self):
         source = (
@@ -1097,12 +1103,15 @@ class TestBudgetPartials:
             assert partial and all(g.ring == ring and answer.contains(g) for g in partial)
         assert cap > 0
 
-    @pytest.mark.parametrize("order", ["grevlex", "lex"])
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
     def test_intersection_partials(self, order):
+        # a lex or elim elimination runs in the grevlex copy, and its
+        # partials come back in the caller's ring
         ring = Ring(p=3, var_names=("x", "y"), order=order)
         x, y = ring.gens
         a, b = Ideal(ring, (x**2 + y, x * y + 1)), Ideal(ring, (y**2 + x,))
         answer = a.intersection(b)
+        nonempty = 0
         for cap in itertools.count():
             with spair_budget(cap):
                 try:
@@ -1111,7 +1120,8 @@ class TestBudgetPartials:
                 except ResourceError as exc:
                     partial = exc.partial
             assert all(g.ring == ring and answer.contains(g) for g in partial)
-        assert cap > 0
+            nonempty += bool(partial)
+        assert cap > 0 and nonempty > 0
 
 
 class TestBracketPower:

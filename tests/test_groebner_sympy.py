@@ -7,7 +7,8 @@ on the sympy side by elimination (a basis in sympy's product order, the
 auxiliary variable first) and projected to the base ring before the reduced
 bases are compared.  Inputs are seeded random ideals, including all-monomial ones and
 systems of three to five generators, at p in {2, 3, 5, 32003}, in grevlex
-and lex.  Seeded cases aim at each
+and lex; in an elim ring, which meets and divides in its grevlex copy,
+sympy's generators are rebuilt in fsing and compared as ideals.  Seeded cases aim at each
 shortcut that ``intersection`` and ``colon`` take before elimination:
 monomial formulas, containment in a cached basis, and f in I.
 """
@@ -197,6 +198,35 @@ def test_colon_matches_sympy_elimination():
         quotients = _sympy_colon(a_expr, _to_sympy(f, syms), syms, p)
         theirs = _sympy_basis(quotients, syms, p, order)
         assert _fsing_basis(ours.groebner()) == theirs, (p, order, a, f)
+
+
+def _from_sympy(expr, syms, ring: Ring):
+    # sympy's polynomial rebuilt in an fsing ring
+    terms = sympy.Poly(expr, *syms, modulus=ring.p).terms()
+    return ring.poly({m: int(c) % ring.p for m, c in terms})
+
+
+def test_elim_ring_intersections_and_colons_match_sympy_as_ideals():
+    # an elim ring meets and divides in its grevlex copy; sympy's generators,
+    # rebuilt in the elim ring, must give the same reduced basis
+    general = 0
+    for rng, p, n in _systems(8116, 24):
+        ring = Ring(p=p, var_names=NAMES[:n], order="elim")
+        syms = sympy.symbols(NAMES[:n])
+        a = _random_system(rng, p, n, fewest=2)
+        b = _random_system(rng, p, n)
+        f = _random_terms(rng, p, n, rng.random() < 0.25)
+        lhs = Ideal(ring, [ring.poly(t) for t in a])
+        meet = lhs.intersection(Ideal(ring, [ring.poly(t) for t in b]))
+        quotient = Ideal(ring, lhs.gens).colon(ring.poly(f))
+        a_expr = [_to_sympy(t, syms) for t in a]
+        their_meet = _sympy_intersection(a_expr, [_to_sympy(t, syms) for t in b], syms, p)
+        their_quotient = _sympy_colon(a_expr, _to_sympy(f, syms), syms, p)
+        for ours, theirs in ((meet, their_meet), (quotient, their_quotient)):
+            rebuilt = Ideal(ring, [_from_sympy(g, syms, ring) for g in theirs])
+            assert ours.groebner() == rebuilt.groebner(), (p, a, b, f)
+        general += any(len(g) > 1 for g in lhs.gens + (ring.poly(f),))
+    assert general >= 12
 
 
 def _multiple(

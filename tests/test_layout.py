@@ -12,6 +12,12 @@ other direction, that no module but ``cli.py`` imports ``fsing.oracle``,
 is kept by the AST scan of ``tests/test_oracle.py``
 (``test_only_the_cli_imports_the_oracles``, with planted imports in
 ``test_oracle_import_detector``).
+
+Every polynomial has one representation: a dict of order keys to
+coefficients in [1, p-1], with zero sums deleted.  ``polyring.accumulate``
+keeps that rule for every sum, and only the two hot loops that keep it
+inline, ``Poly.__mul__`` and ``poly_division``, delete from a dict
+themselves.  ``oracle.py`` keeps its own arithmetic and is not scanned.
 """
 
 from __future__ import annotations
@@ -111,3 +117,69 @@ def test_the_representation_scan_passes_public_reads():
         "    return [m for m, _ in g.terms()] + [g.leading_monomial(), g.ring.__class__]\n"
     )
     assert representation_reads(source) == []
+
+
+# The functions that may delete a key from a term dict: the accumulator and
+# the two hot loops that keep it inline.
+TERM_WRITERS = {
+    ("polyring.py", "accumulate"),
+    ("polyring.py", "Poly.__mul__"),
+    ("groebner.py", "poly_division"),
+}
+
+
+def deleting_functions(source: str) -> set[str]:
+    """Qualified names of the functions of ``source`` that delete from a dict:
+    ``del d[k]``, ``d.pop(k)`` or ``d.popitem()``."""
+    found = set()
+
+    def deletes(node: ast.AST) -> bool:
+        if isinstance(node, ast.Delete):
+            return any(isinstance(target, ast.Subscript) for target in node.targets)
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and (node.func.attr == "popitem" or (node.func.attr == "pop" and bool(node.args)))
+        )
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if deletes(child):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_the_accumulator_and_two_hot_loops_delete_terms():
+    package = pathlib.Path(fsing.__file__).parent
+    found = {
+        (path.name, name)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "oracle.py"
+        for name in deleting_functions(path.read_text())
+    }
+    assert found == TERM_WRITERS
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        (
+            "def accumulate(acc, k):\n    del acc[k]\n"
+            "def _spoly(out, k):\n    if k in out:\n        del out[k]\n",
+            {"accumulate", "_spoly"},
+        ),
+        ("class Poly:\n    def __sub__(self, out, k):\n        out.pop(k, None)\n",
+         {"Poly.__sub__"}),
+        ("def f(out):\n    def g():\n        out.popitem()\n    return g\n", {"f.g"}),
+        ("def f(xs, ys):\n    del xs\n    return ys.pop()\n", set()),
+    ],
+    ids=["planted-function", "method-pop", "nested-popitem", "name-and-bare-pop"],
+)
+def test_the_scan_finds_a_planted_deletion(source, found):
+    assert deleting_functions(source) == found

@@ -206,11 +206,17 @@ def test_frobenius_twist_scales_every_key(order):
 
 
 def test_carried_lifted_and_projected_terms_are_unchanged():
-    from fsing.groebner import _carried, _extended_ring, _lift, _project
+    # _carried moves terms between orders; _in_grevlex carries an ideal and
+    # polynomials into the grevlex copy and the answer back, and there an
+    # elimination lifts and projects by keeping every key
+    from fsing import Ideal
+    from fsing.groebner import _carried, _extended_ring, _in_grevlex, _project
+    from fsing.polyring import Poly
 
     rng = random.Random(7600)
     for n in (1, 2, 3):
         rings = {order: _ring(order, n, 5) for order in ORDERS}
+        copy = rings["grevlex"]
         for _ in range(20):
             terms = {tuple(rng.randint(0, 6) for _ in range(n)): rng.randrange(1, 5) for _ in range(5)}
             for source in ORDERS:
@@ -222,8 +228,20 @@ def test_carried_lifted_and_projected_terms_are_unchanged():
                     assert list(g.terms()) == sorted(
                         g.terms(), key=lambda t: rings[target].monomial_key()(t[0]), reverse=True
                     )
-                ext = _extended_ring(f.ring)
-                lifted = _lift(f, ext)
-                assert dict(lifted.terms()) == {(0,) + m: c for m, c in want.items()}
-                back = _project(lifted, f.ring)
+                seen = []
+
+                def lift_and_project(ideal, polys):
+                    seen.append((ideal, polys))
+                    ext = _extended_ring(ideal.ring)
+                    lifted = Poly(ext, polys[0]._terms)
+                    assert dict(lifted.terms()) == {(0,) + m: c for m, c in want.items()}
+                    return [_project(lifted, ideal.ring)]
+
+                (back,) = _in_grevlex(Ideal(f.ring, (f,)), (f,), lift_and_project)
+                ((ideal, (inner,)),) = seen
+                assert ideal.ring == inner.ring == copy
+                assert dict(ideal.gens[0].terms()) == dict(inner.terms()) == want
+                assert (inner is f) == (source == "grevlex")
                 assert back == f and dict(back.terms()) == want
+                # the same extended ring from the copy as from the ring itself
+                assert _extended_ring(f.ring) == _extended_ring(copy)
