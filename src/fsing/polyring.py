@@ -38,7 +38,7 @@ Exponents = tuple[int, ...]
 MonomialKey = Callable[[Exponents], int]
 # (leading key, leading word, inverse leading coefficient, tail degree
 # excess, tail terms as (key, coefficient)); see Poly.reducer
-Reducer = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
+Reducer = tuple[int, int, int, int, list[tuple[int, int]]]
 
 # Guard against runaway exponent growth: any operation whose result would
 # exceed this total degree raises ResourceError instead of computing it.
@@ -259,19 +259,22 @@ class Codec:
         """Whether word a divides word b."""
         return ((b | self.guard) - a) & self.guard == self.guard
 
-    def _at_least(self, a: int, b: int) -> int:
-        # all ones in the fields where a's exponent is at least b's
-        return ((((a | self.guard) - b) & self.guard) >> (_BITS - 1)) * _MASK
+    def lcms(self, a: int, words: Iterable[int]) -> list[int]:
+        """The words of the lcms of word a with each of ``words``: the larger
+        exponent per field, where the guard bits of one subtraction mark
+        the fields in which a's exponent is at least the other's."""
+        G, s = self.guard, _BITS - 1
+        top = a | G
+        return [b ^ ((a ^ b) & ((((top - b) & G) >> s) * _MASK)) for b in words]
 
     def lcm(self, a: int, b: int) -> int:
-        """The word of the lcm of words a and b: the larger exponent per field."""
-        mask = self._at_least(a, b)
-        return (a & mask) | (b & ~mask)
+        """The word of the lcm of words a and b."""
+        return self.lcms(a, (b,))[0]
 
     def gcd(self, a: int, b: int) -> int:
-        """The word of the gcd of words a and b: the smaller exponent per field."""
-        mask = self._at_least(a, b)
-        return (b & mask) | (a & ~mask)
+        """The word of the gcd of words a and b: per field, the sum less the
+        larger exponent, with no carry or borrow between fields."""
+        return a + b - self.lcm(a, b)
 
 
 @dataclass(frozen=True)
@@ -513,16 +516,27 @@ class Poly:
         Holds the leading monomial's key and word (see :class:`Codec`), the
         inverse leading coefficient, the largest total degree of the other
         terms minus the leading one's (0 when there are none), and those
-        other terms as ``(key, coefficient)`` pairs.
+        other terms as ``(key, coefficient)`` pairs in dict order, a list
+        that is never mutated.  grevlex keys rank by total degree first, so
+        there the largest tail key gives the excess; the other orders read
+        every tail term's degree.
         """
         if self._reducer is None:
             codec = self.ring._codec
+            degree = codec.degree
+            terms = self._terms
             lk = self._lead()
+            lc = terms[lk]
             p = self.ring.p
-            tail = tuple((k, c) for k, c in self._terms.items() if k != lk)
-            lead_deg = codec.degree(lk)
-            excess = max(map(codec.degree, (k for k, _ in tail)), default=lead_deg) - lead_deg
-            self._reducer = (lk, codec.word(lk), pow(self._terms[lk], p - 2, p), excess, tail)
+            tail = list(terms.items())
+            tail.remove((lk, lc))
+            if not tail:
+                excess = 0
+            elif self.ring.order == "grevlex":
+                excess = degree(max(tail)[0]) - degree(lk)
+            else:
+                excess = max([degree(k) for k, _ in tail]) - degree(lk)
+            self._reducer = (lk, codec.word(lk), pow(lc, p - 2, p), excess, tail)
         return self._reducer
 
     def leading_coeff(self) -> int:

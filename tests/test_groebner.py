@@ -136,6 +136,64 @@ class TestDivision:
         assert lc_inv == 1 and excess == -1
         assert sorted(tail) == sorted([(key((0, 1)), 2), (key((0, 0)), 1)])
 
+    @staticmethod
+    def _reference_record(g):
+        # the divisor record term by term: the lead by key, its word packed
+        # one exponent per 32-bit field (x_1 in the top field in lex, in the
+        # bottom one otherwise), the excess from every tail term's degree
+        # and the tail in dict order
+        ring = g.ring
+        key = ring.monomial_key()
+        lead, lc = max(g.terms(), key=lambda t: key(t[0]))
+        lk = key(lead)
+        fields = reversed(lead) if ring.order == "lex" else lead
+        word = sum(e << (32 * i) for i, e in enumerate(fields))
+        tail = [(k, c) for k, c in g._terms.items() if k != lk]
+        degrees = [sum(m) for m, _ in g.terms() if key(m) != lk]
+        excess = max(degrees) - sum(lead) if degrees else 0
+        return lk, word, pow(lc, -1, ring.p), excess, tail
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    @pytest.mark.parametrize("p", [2, 3, 32003])
+    def test_divisor_records_match_a_per_term_reference(self, order, p):
+        rng = random.Random(f"record-{order}-{p}")
+        ring = Ring(p=p, var_names=("t", "x", "y"), order=order)
+        t, x, y = ring.gens
+        polys = [rand_poly(rng, ring, rng.randint(1, 8), 6, nonzero=True) for _ in range(60)]
+        # a single term, a constant, and tails above and below the lead
+        polys += [x**3 * y, ring.constant(p - 1), t + x**5 * y + 1, t**4 + x + y**2]
+        above = below = 0
+        for g in polys:
+            record = g.reducer()
+            assert tuple(record) == self._reference_record(g)
+            above += record[3] > 0
+            below += record[3] < 0
+        # only lex and elim rank a term of higher degree below the lead
+        assert (above > 0) == (order != "grevlex") and below > 0
+
+    def test_the_fast_path_keeps_every_divisor_check(self):
+        ring = Ring(p=5, var_names=("x", "y"))
+        twin = Ring(p=5, var_names=("x", "y"))
+        other = Ring(p=7, var_names=("x", "y"))
+        x, y = ring.gens
+        f = x**3 * y + x * y**2 + 1
+        # a divisor of an equal ring that is another object is accepted
+        d = twin("x*y + 2*y")
+        d.reducer()
+        assert twin is not ring and twin == ring
+        assert poly_division(f, [d]) == poly_division(f, [x * y + 2 * y])
+        stranger = other("x*y + 1")
+        stranger.reducer()
+        with pytest.raises(RingMismatchError):
+            poly_division(f, [stranger])
+        with pytest.raises(DomainError, match="a divisor must be of type Poly"):
+            poly_division(f, [x, 3])
+        cached = [x * y + 1, y**2 + x]
+        for g in cached:
+            g.reducer()
+        with pytest.raises(DomainError, match="cannot divide by the zero polynomial"):
+            poly_division(f, cached + [ring.zero])
+
     @pytest.mark.parametrize(
         "order, names", [("lex", ("x", "y")), ("elim", ("t", "x"))]
     )
@@ -373,6 +431,45 @@ class TestBuchberger:
         gens = [2 * x**2 * y, R3.zero, x * y**3, 2 * x**3, x**2 * y, y**5]
         assert buchberger(gens, R3) == (y**5, x * y**3, x**3, x**2 * y)
         assert buchberger([x * y, R3.constant(2), y], R3) == (R3.one,)
+
+    @staticmethod
+    def _engine_basis(g, ring):
+        # the signature engine's answer for one generator, from no basis
+        grown, spent = groebner._g2v_step((), g, 0, 0)
+        assert spent == 0
+        return (ring.one,) if grown is None else groebner._interreduced(grown)
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    @pytest.mark.parametrize("p", [2, 3, 32003])
+    def test_one_generator_is_its_own_monic_basis(self, order, p, monkeypatch):
+        rng = random.Random(f"principal-{order}-{p}")
+        ring = Ring(p=p, var_names=("t", "x", "y"), order=order)
+        t, x, y = ring.gens
+        gens = [ring.zero, ring.constant(p - 1), (p - 1) * x**2 * y, t + x**5 * y + 1]
+        gens += [rand_poly(rng, ring, 6, 5) for _ in range(20)]
+        want = [self._engine_basis(g, ring) for g in gens]
+        assert want[0] == () and want[1] == (ring.one,) and want[2] == (x**2 * y,)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a principal ideal went through the engine")
+
+        monkeypatch.setattr(groebner, "_g2v_step", refuse)
+        monkeypatch.setattr(groebner, "_monomial_basis", refuse)
+        with spair_budget(0):
+            for g, basis in zip(gens, want):
+                if g:
+                    assert buchberger([g], ring) == basis
+                    assert buchberger(iter([g]), ring) == basis
+        # the zero generator alone is no principal shortcut
+        monkeypatch.undo()
+        assert buchberger([ring.zero], ring) == ()
+
+    @pytest.mark.parametrize("cap", [-1, 1.5, "3"])
+    def test_one_generator_still_reads_the_cap(self, cap):
+        x, y = R2.gens
+        for g in (x * y + y**2, x**2, R2.one):
+            with spair_budget(cap), pytest.raises(DomainError, match="S-pair budget"):
+                buchberger([g], R2)
 
     def test_textbook_pair(self):
         # classic: in F_5[x,y] grevlex, {x^2 + y, x*y + x} closes up with y^2 + y

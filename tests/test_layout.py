@@ -15,15 +15,23 @@ is kept by the AST scan of ``tests/test_oracle.py``
 
 Every polynomial has one representation: a dict of order keys to
 coefficients in [1, p-1], with zero sums deleted.  ``polyring.accumulate``
-keeps that rule for every sum, and only the two hot loops that keep it
-inline, ``Poly.__mul__`` and ``poly_division``, delete from a dict
-themselves.  ``oracle.py`` keeps its own arithmetic and is not scanned.
+keeps that rule for every sum, and only the three hot loops that keep it
+inline, ``Poly.__mul__``, ``poly_division`` and ``groebner._spoly``,
+delete from a dict themselves.  ``oracle.py`` keeps its own arithmetic
+and is not scanned.
+
+Two more rules keep one implementation per operation: only
+``poly_division``, the function ``bench/tracing.py`` counts, pops pending
+keys from a heap, and ``Codec.lcms`` alone compares exponent fields
+through the guard bits, for the engine's J-pairs, ``Codec.lcm`` and
+``Codec.gcd`` alike.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+from typing import Callable
 
 import pytest
 
@@ -120,34 +128,26 @@ def test_the_representation_scan_passes_public_reads():
 
 
 # The functions that may delete a key from a term dict: the accumulator and
-# the two hot loops that keep it inline.
+# the three hot loops that keep it inline.
 TERM_WRITERS = {
     ("polyring.py", "accumulate"),
     ("polyring.py", "Poly.__mul__"),
     ("groebner.py", "poly_division"),
+    ("groebner.py", "_spoly"),
 }
 
 
-def deleting_functions(source: str) -> set[str]:
-    """Qualified names of the functions of ``source`` that delete from a dict:
-    ``del d[k]``, ``d.pop(k)`` or ``d.popitem()``."""
+def functions_where(source: str, hit: Callable[[ast.AST], bool]) -> set[str]:
+    """Qualified names of the functions of ``source`` that hold a node for
+    which ``hit`` is true (a nested function's nodes count for it alone)."""
     found = set()
-
-    def deletes(node: ast.AST) -> bool:
-        if isinstance(node, ast.Delete):
-            return any(isinstance(target, ast.Subscript) for target in node.targets)
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and (node.func.attr == "popitem" or (node.func.attr == "pop" and bool(node.args)))
-        )
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if deletes(child):
+            if hit(child):
                 found.add(".".join(scope))
             visit(child, scope)
 
@@ -155,15 +155,31 @@ def deleting_functions(source: str) -> set[str]:
     return found
 
 
-def test_only_the_accumulator_and_two_hot_loops_delete_terms():
+def package_functions_where(hit: Callable[[ast.AST], bool]) -> set[tuple[str, str]]:
+    """(file, qualified name) of the functions of ``src/fsing`` but ``oracle.py``
+    that hold a node for which ``hit`` is true."""
     package = pathlib.Path(fsing.__file__).parent
-    found = {
+    return {
         (path.name, name)
         for path in sorted(package.glob("*.py"))
         if path.name != "oracle.py"
-        for name in deleting_functions(path.read_text())
+        for name in functions_where(path.read_text(), hit)
     }
-    assert found == TERM_WRITERS
+
+
+def deletes(node: ast.AST) -> bool:
+    """Whether ``node`` deletes from a dict: ``del d[k]``, ``d.pop(k)`` or ``d.popitem()``."""
+    if isinstance(node, ast.Delete):
+        return any(isinstance(target, ast.Subscript) for target in node.targets)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (node.func.attr == "popitem" or (node.func.attr == "pop" and bool(node.args)))
+    )
+
+
+def test_only_the_accumulator_and_three_hot_loops_delete_terms():
+    assert package_functions_where(deletes) == TERM_WRITERS
 
 
 @pytest.mark.parametrize(
@@ -182,4 +198,99 @@ def test_only_the_accumulator_and_two_hot_loops_delete_terms():
     ids=["planted-function", "method-pop", "nested-popitem", "name-and-bare-pop"],
 )
 def test_the_scan_finds_a_planted_deletion(source, found):
-    assert deleting_functions(source) == found
+    assert functions_where(source, deletes) == found
+
+
+# Division is counted where it is called: ``bench/tracing.py`` wraps
+# ``poly_division``.  So only that function pops pending order keys from a
+# max-heap (``-heappop(heap)``), and the only other heap is the signature
+# engine's J-pair queue; a private division loop would do work that no
+# count sees.
+HEAP_POPPERS = {("groebner.py", "poly_division"), ("groebner.py", "_g2v_step")}
+
+
+def pops_heap(node: ast.AST) -> bool:
+    """Whether ``node`` is a call of ``heappop`` or ``heapq.heappop``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "heappop") or (
+        isinstance(func, ast.Attribute) and func.attr == "heappop"
+    )
+
+
+def pops_pending_key(node: ast.AST) -> bool:
+    """Whether ``node`` is ``-heappop(...)``: a key off a max-heap of keys."""
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) and pops_heap(node.operand)
+
+
+def test_only_poly_division_pops_pending_keys():
+    assert package_functions_where(pops_heap) == HEAP_POPPERS
+    assert package_functions_where(pops_pending_key) == {("groebner.py", "poly_division")}
+
+
+@pytest.mark.parametrize(
+    "source, poppers, key_poppers",
+    [
+        ("from heapq import heappop\ndef _divide(heap):\n    return -heappop(heap)\n",
+         {"_divide"}, {"_divide"}),
+        ("import heapq\nclass Ideal:\n    def reduce(self, heap):\n"
+         "        k = -heapq.heappop(heap)\n        return k\n",
+         {"Ideal.reduce"}, {"Ideal.reduce"}),
+        ("def _g2v_step(queue):\n    t, i, j = heappop(queue)\n    return t\n",
+         {"_g2v_step"}, set()),
+        ("def f(heap):\n    return -heap.pop()\n", set(), set()),
+    ],
+    ids=["planted-helper", "module-attribute", "pair-queue", "list-pop"],
+)
+def test_the_heap_scan_finds_a_planted_division(source, poppers, key_poppers):
+    assert functions_where(source, pops_heap) == poppers
+    assert functions_where(source, pops_pending_key) == key_poppers
+
+
+def compares_fields(node: ast.AST) -> bool:
+    """Whether ``node`` is ``((a - b) & guard) >> s``: the guard bits of one
+    subtraction, which mark the fields where a's exponent is at least b's."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift)):
+        return False
+    left = node.left
+    return (
+        isinstance(left, ast.BinOp)
+        and isinstance(left.op, ast.BitAnd)
+        and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Sub)
+                for side in (left.left, left.right))
+    )
+
+
+def calls(name: str) -> Callable[[ast.AST], bool]:
+    """A test for a call of the method ``name``."""
+    return lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == name
+    )
+
+
+def test_the_codec_has_one_lcm_rule():
+    # the engine's batched J-pair lcms, Codec.lcm and Codec.gcd share it
+    assert package_functions_where(compares_fields) == {("polyring.py", "Codec.lcms")}
+    assert package_functions_where(calls("lcms")) == {
+        ("polyring.py", "Codec.lcm"),
+        ("groebner.py", "_g2v_step"),
+    }
+    assert ("polyring.py", "Codec.gcd") in package_functions_where(calls("lcm"))
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("class Codec:\n    def _at_least(self, a, b):\n"
+         "        return ((((a | self.guard) - b) & self.guard) >> 31) * M\n",
+         {"Codec._at_least"}),
+        ("def _g2v_step(wa, words, G):\n"
+         "    return [b ^ ((wa ^ b) & ((G & ((wa | G) - b)) >> 31) * M) for b in words]\n",
+         {"_g2v_step"}),
+        ("def divides(a, b, G):\n    return ((b | G) - a) & G == G\n", set()),
+    ],
+    ids=["old-helper", "inline-lcm", "divisibility"],
+)
+def test_the_field_scan_finds_a_planted_lcm(source, found):
+    assert functions_where(source, compares_fields) == found
