@@ -26,8 +26,14 @@ exponents as its leading monomial.
 
 A term's floor is 0 exactly when its exponents are all below q**e, and
 when no other term shares its remainder its component is a nonzero
-constant, so the root is the unit ideal.  At p = 2 and in the columnar
-split this is decided from the remainders before any floor key is
+constant, so the root is the unit ideal.  Such a term is its own
+remainder, and any other term of that remainder adds q**e times a nonzero
+exponent vector, so its degree is at least q**e more.  So a term of floor
+0 whose degree exceeds deg(g) - q**e is such a constant.  At p = 2 and in
+the columnar split this degree bound is tried first, on words: the
+columnar split finds the terms of floor 0 with one guard-bit test per
+word (``Codec._below``) and decodes nothing when the bound decides.  Only
+when it does not are the remainders compared, before any floor key is
 computed; the term by term split finds such a component before it builds
 any.  Every split gives the same components, in the order of their
 remainders' exponent tuples.
@@ -90,6 +96,25 @@ def _lone_constant(rems: list[Hashable], consts: list[Hashable]) -> bool:
     )
 
 
+def _unit_by_degree(ring: Ring, g: Poly, words: list[int], low: list[int], Q: int) -> bool:
+    # whether a term of floor 0, of word in low, has a degree above
+    # deg(g) - Q: then no other term shares its remainder (see the module
+    # docstring), and its component is that constant
+    if not low:
+        return False
+    codec = ring._codec
+    degree = codec.word_degree
+    if ring.order == "grevlex":
+        bound = codec.degree(g._lead()) - Q
+    else:
+        bound = max(map(degree, words)) - Q
+    # a term of floor 0 has degree at most n * (Q - 1), so past that no
+    # degree needs reading
+    if bound >= codec.n * (Q - 1):
+        return False
+    return bound < 0 or max(map(degree, low)) > bound
+
+
 def _root_gens_2(ring: Ring, gens: Iterable[Poly], t: int) -> tuple[Poly, ...]:
     # The split at q**e = 2**t on words.  Every exponent is at most
     # MAX_TOTAL_DEGREE < 2**FROBENIUS_LEVEL_CAP, so from there on every
@@ -114,8 +139,10 @@ def _root_gens_2(ring: Ring, gens: Iterable[Poly], t: int) -> tuple[Poly, ...]:
         floors = [(w >> t) & F for w in words]
         if 0 in floors:
             # decided before any floor key: a term of floor 0 is its remainder
-            rems = [w & R for w in words]
-            if _lone_constant(rems, [r for r, f in zip(rems, floors) if not f]):
+            low = [w for w, f in zip(words, floors) if not f]
+            if _unit_by_degree(ring, g, words, low, 1 << t) or _lone_constant(
+                [w & R for w in words], low
+            ):
                 return (ring.one,)
         parts = _components(ring, codec._ranks(words, t), codec._keys(floors), terms.values())
         if parts is None:
@@ -154,12 +181,18 @@ def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
             rems = [tuple([b % Q for b in decode(k)]) for k in terms]
             floors = [(k - encode(rem)) // Q for k, rem in zip(terms, rems)]
         else:
-            cols = codec.columns(terms)
-            rems = list(zip(*[[b % Q for b in col] for col in cols]))
-            # decided before any floor key (see the module docstring)
-            tops = map(max, *cols) if len(cols) > 1 else cols[0]
-            if _lone_constant(rems, [rem for rem, top in zip(rems, tops) if top < Q]):
+            # decided before any term is decoded, then before any floor key
+            # (see the module docstring)
+            words = codec._words(terms)
+            low = codec._below(words, Q)
+            if _unit_by_degree(ring, g, words, low, Q):
                 return (ring.one,)
+            cols = codec.columns(words)
+            rems = list(zip(*[[b % Q for b in col] for col in cols]))
+            if low:
+                tops = map(max, *cols) if len(cols) > 1 else cols[0]
+                if _lone_constant(rems, [rem for rem, top in zip(rems, tops) if top < Q]):
+                    return (ring.one,)
             floors = codec.keys_of([[b // Q for b in col] for col in cols])
         parts = _components(ring, rems, floors, terms.values())
         if parts is None:

@@ -488,11 +488,20 @@ def _g2v_step(
 
 def _interreduced(basis: Sequence[Poly]) -> tuple[Poly, ...]:
     # tail-reduce each element against the rest; leading monomials are
-    # already pairwise indivisible, so one pass yields the reduced basis
+    # already pairwise indivisible, so one pass yields the reduced basis.
+    # Every tail term lies below its element's lead, and a leading monomial
+    # divides only terms of key at least its own, so only the elements of
+    # smaller lead, in their order, can reduce it.  Each element is still
+    # divided, by no divisor if need be, when there is another element, so
+    # the divisions and the remainders' term order are those of dividing by
+    # all the others.
     out: list[Poly] = []
-    for pos, g in enumerate(basis):
-        others = basis[:pos] + basis[pos + 1 :]
-        r = normal_form(g, others)
+    for g in basis:
+        r = g
+        if len(basis) > 1:
+            lk = g._lead()
+            smaller = [d for d in basis if d._lead() < lk]
+            r = poly_division(g, smaller, with_quotients=False)[1]
         if r:
             out.append(r.monic())
     out.sort(key=Poly._lead, reverse=True)

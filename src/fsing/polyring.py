@@ -148,7 +148,8 @@ class Codec:
     exponents), ``word`` and ``key`` (key to word and back), ``degree``
     (key to total degree) and ``word_degree`` (word to total degree).
     ``weights[i]`` is the key of the i-th variable.  ``_words`` and
-    ``_keys`` convert many keys to words and back.
+    ``_keys`` convert many keys to words and back, and ``columns`` unpacks
+    many words into their exponents.
     """
 
     __slots__ = ("n", "guard", "weights", "encode", "decode", "word", "key", "degree",
@@ -218,15 +219,15 @@ class Codec:
         # the field of each variable's exponent in a little-endian word
         self._fields = range(n - 1, -1, -1) if order == "lex" else range(n)
 
-    def columns(self, keys: Collection[int]) -> list[tuple[int, ...]]:
-        """The exponents of many keys at once, one tuple per variable.
+    def columns(self, words: Collection[int]) -> list[tuple[int, ...]]:
+        """The exponents of many words at once, one tuple per variable.
 
-        Each column lists its variable's exponents in the order of ``keys``;
-        all the words are unpacked in one pass.
+        Each column lists its variable's exponents in the order of
+        ``words``; all of them are unpacked in one pass.
         """
         n, size = self.n, 4 * self.n
-        words = map(int.to_bytes, self._words(keys), repeat(size), repeat("little"))
-        flat = unpack_from(f"<{n * len(keys)}I", b"".join(words))
+        packed = map(int.to_bytes, words, repeat(size), repeat("little"))
+        flat = unpack_from(f"<{n * len(words)}I", b"".join(packed))
         return [flat[j::n] for j in self._fields]
 
     def keys_of(self, columns: Sequence[Sequence[int]]) -> list[int]:
@@ -236,6 +237,16 @@ class Codec:
         for w, col in zip(self.weights[1:], columns[1:]):
             keys = [k + w * b for k, b in zip(keys, col)]
         return keys
+
+    def _below(self, words: list[int], Q: int) -> list[int]:
+        # the words whose every field is below Q: adding WORD_LIMIT - Q to
+        # each field sets its guard bit exactly when the field is at least
+        # Q, and no field carries into the next.  Every field is below
+        # WORD_LIMIT, so from there on every word is.
+        if Q >= WORD_LIMIT:
+            return words
+        lift, G = (self.guard >> (_BITS - 1)) * (WORD_LIMIT - Q), self.guard
+        return [w for w in words if not (w + lift) & G]
 
     def _split_masks(self, t: int) -> tuple[int, int]:
         # the low t bits of every field, and the bits of every field that a

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import fsing.frobroot as frobroot
 import fsing.polyring as polyring
 from fsing import DomainError, Ideal, Ring, ideal_root, poly_root
 from fsing.frobroot import _COLUMNAR_TERMS, _root_gens
@@ -440,3 +441,189 @@ class TestCharacteristicTwo:
             unit = [{(0,) * ring.n: 1}]
             assert [dict(g.terms()) for g in out] == (unit if parts is None else parts)
         assert sum(parts is not None for parts in want) >= 40
+
+
+class TestDegreeBound:
+    """The unit root decided by the degree bound, against plain dicts.
+
+    A term of floor 0 (every exponent below Q) is its own remainder, and
+    any other term of that remainder has degree at least its own plus Q.
+    So a term of floor 0 above deg(g) - Q is a constant component, and
+    the root is (1) before any term is decoded (odd p) or any remainder
+    is compared (p = 2).  A lone term of floor 0 at or below that degree
+    is left to ``_lone_constant``; one that shares its remainder gives no
+    constant.
+    """
+
+    RINGS = [
+        (p, s, order) for p in (2, 3, 5) for s in (1, 2) for order in ("grevlex", "lex", "elim")
+    ]
+
+    @staticmethod
+    def _high(rng, n, Q, lo, hi):
+        # a term of degree in [lo, hi] (lo >= Q) with some exponent at least Q
+        d = rng.randint(lo, hi)
+        m = [0] * n
+        j = rng.randrange(n)
+        m[j] = rng.randint(Q, d)
+        cuts = sorted(rng.randint(0, d - m[j]) for _ in range(n - 1))
+        for i, part in enumerate(b - a for a, b in zip([0] + cuts, cuts + [d - m[j]])):
+            m[i] += part
+        return tuple(m)
+
+    @staticmethod
+    def _shared(rng, n, Q, top):
+        # a term of floor 0 and degree at most top - Q, with a partner of
+        # the same remainder and degree at most top
+        budget = max(0, top - Q)
+        c = []
+        for _ in range(n):
+            c.append(rng.randint(0, min(Q - 1, budget)))
+            budget -= c[-1]
+        rng.shuffle(c)
+        partner = list(c)
+        partner[rng.randrange(n)] += Q
+        return [tuple(c), tuple(partner)]
+
+    def _generator(self, rng, ring, Q, kind):
+        # the exponents of one generator of the given kind
+        n, odd = ring.n, ring.p > 2
+        size = rng.randint(_COLUMNAR_TERMS, 20) if odd else rng.randint(2, 20)
+        room = polyring.MAX_TOTAL_DEGREE - Q
+        if room < 2 * n:
+            # no term of degree Q fits the guard, so every floor is 0, and
+            # deg(g) < Q decides the first term
+            top = min(Q - 1, 40)
+            terms = set()
+            while len(terms) < size:
+                terms.add(tuple(rng.randint(0, top) for _ in range(n)))
+            return terms
+        cap = min(Q - 1, room // (2 * n))
+        a = tuple(rng.randint(min(Q // 2, cap) if odd else 0, cap) for _ in range(n))
+        if not any(a):
+            a = (cap,) + a[1:]
+        terms = {a}
+        if kind == "fires":
+            # every other term at degree below |a| + Q
+            lo, hi = Q, sum(a) + Q - 1
+        else:
+            # a term at degree |a| + Q or more, so the bound decides nothing
+            hi = sum(a) + Q + rng.randint(0, min(2 * Q, room - sum(a)))
+            terms.add(self._high(rng, n, Q, hi, hi))
+            lo = Q
+        if kind == "proper":
+            terms.add(tuple(b + Q * (i == 0) for i, b in enumerate(a)))
+        for _ in range(500):
+            if len(terms) >= size:
+                break
+            if rng.random() < 0.2 and hi - Q >= 0:
+                pair = self._shared(rng, n, Q, hi)
+                if sum(pair[0]) + Q <= hi or kind != "fires":
+                    terms.update(pair)
+                continue
+            m = self._high(rng, n, Q, lo, hi)
+            if kind == "lone" and tuple(b % Q for b in m) == a:
+                continue
+            terms.add(m)
+        if kind == "lone":
+            # a stays alone in its remainder class
+            terms = {m for m in terms if m == a or tuple(b % Q for b in m) != a}
+        return terms
+
+    def _cases(self):
+        rng = random.Random(281)
+        for p, s, order in self.RINGS:
+            for kind in ("fires", "lone", "proper"):
+                for i in range(3):
+                    n = rng.choice((2, 3)) if p == 2 else 3
+                    ring = Ring(p=p, var_names=("x", "y", "z")[:n], s=s, order=order)
+                    e = 1 + (i == 2 and p ** (2 * s) <= 25)
+                    yield kind, ring, e, self._generator(rng, ring, ring.q**e, kind)
+        # every floor is 0 from Q >= 2**31 on at odd p, and t = 19 at p = 2
+        # is the widest split that still masks
+        for p, s, e, order in ((3, 1, 20, "grevlex"), (3, 2, 10, "lex"), (5, 2, 7, "elim"),
+                               (5, 1, 25, "lex"), (2, 1, 19, "grevlex"), (2, 1, 19, "elim")):
+            ring = Ring(p=p, var_names=("x", "y"), s=s, order=order)
+            Q = ring.q ** min(e, FROBENIUS_LEVEL_CAP)
+            yield "fires", ring, e, self._generator(rng, ring, Q, "fires")
+            if Q < 2**20:
+                for kind in ("lone", "proper"):
+                    yield kind, ring, e, self._generator(rng, ring, Q, kind)
+
+    def _built(self):
+        rng = random.Random(283)
+        for kind, ring, e, exps in self._cases():
+            g = ring.poly({m: rng.randrange(1, ring.p) for m in sorted(exps)})
+            Q = ring.q ** min(e, FROBENIUS_LEVEL_CAP)
+            want = _plain_split([dict(g.terms())], Q)
+            yield kind, ring, e, Q, g, want
+
+    def test_the_bound_decides_exactly_what_the_plain_split_says(self, monkeypatch):
+        seen = {"fires": 0, "lone": 0, "proper": 0}
+        huge = wide = 0
+        for kind, ring, e, Q, g, want in self._built():
+            exps = [m for m, _ in g.terms()]
+            low = [m for m in exps if max(m) < Q]
+            fires = any(sum(m) > g.total_degree() - Q for m in low)
+            assert fires == (kind == "fires"), (kind, ring, e)
+            assert (want is None) == (kind != "proper"), (kind, ring, e)
+            assert low
+            if ring.p > 2:
+                assert len(g) >= _COLUMNAR_TERMS
+            got = _root_gens(ring, (g,), e)
+            if want is None:
+                assert got == (ring.one,)
+            else:
+                assert [dict(h.terms()) for h in got] == want
+                for h in got:
+                    if len(h) == 1:
+                        assert h.leading_monomial() == next(iter(dict(h.terms())))
+            lone = []
+            with monkeypatch.context() as m:
+                if kind == "fires":
+                    def refuse(*args):
+                        raise AssertionError("the degree bound should have decided")
+
+                    if ring.p == 2:
+                        m.setattr(frobroot, "_lone_constant", refuse)
+                    else:
+                        for name in ("columns", "decode", "keys_of"):
+                            m.setattr(polyring.Codec, name, refuse)
+                else:
+                    spied = frobroot._lone_constant
+
+                    def spy(rems, consts):
+                        lone.append(spied(rems, consts))
+                        return lone[-1]
+
+                    m.setattr(frobroot, "_lone_constant", spy)
+                assert _root_gens(ring, (g,), e) == got
+            if kind == "lone":
+                assert lone == [True]
+            elif kind == "proper":
+                assert lone == [False]
+            seen[kind] += 1
+            huge += ring.p > 2 and Q >= polyring.WORD_LIMIT
+            wide += ring.p == 2 and Q == 2**19
+        assert min(seen.values()) >= 20, seen
+        assert huge >= 3 and wide >= 2
+
+    def test_a_long_odd_generator_reads_its_words_once(self, monkeypatch):
+        calls = 0
+        for kind, ring, e, Q, g, want in self._built():
+            if ring.p == 2:
+                continue
+            codec = ring._codec
+            words = codec._words
+
+            def counted(keys, words=words):
+                nonlocal calls
+                calls += 1
+                return words(keys)
+
+            before = calls
+            with monkeypatch.context() as m:
+                m.setattr(codec, "_words", counted)
+                _root_gens(ring, (g,), e)
+            assert calls - before == 1, (kind, ring, e)
+        assert calls >= 60

@@ -464,6 +464,53 @@ class TestBuchberger:
         monkeypatch.undo()
         assert buchberger([ring.zero], ring) == ()
 
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
+    def test_interreduction_divides_by_the_smaller_leads_alone(self, order, monkeypatch):
+        # a divisor of larger lead divides no term of an element, so each
+        # element meets only the smaller leads, in list order; with another
+        # element it is still divided once, so the answer, its dict order
+        # and the count of divisions are those of dividing by all the others
+        rng = random.Random(f"interreduce-{order}")
+        ring = Ring(p=5, var_names=("x", "y", "z"), order=order)
+        calls = []
+        division = groebner.poly_division
+
+        def spy(f, divisors, *args, **kwargs):
+            calls.append((f, list(divisors)))
+            return division(f, divisors, *args, **kwargs)
+
+        sizes = set()
+        for _ in range(30):
+            gens = [rand_poly(rng, ring, 4, 3, nonzero=True) for _ in range(rng.randint(1, 4))]
+            reduced = buchberger(gens, ring)
+            # spoil the tails with multiples of smaller leads: same leads,
+            # same ideal, no longer reduced
+            basis = list(reduced)
+            for i, g in enumerate(basis):
+                for d in reduced:
+                    t = rand_monomial(rng, ring, 2)
+                    if (t * d)._lead() < g._lead():
+                        basis[i] = basis[i] + 2 * t * d
+            rng.shuffle(basis)
+            want = sorted(
+                (groebner.normal_form(g, [d for d in basis if d is not g]).monic() for g in basis),
+                key=Poly._lead, reverse=True,
+            )
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "poly_division", spy)
+                got = groebner._interreduced(basis)
+            assert got == reduced
+            assert [list(g._terms.items()) for g in got] == [list(g._terms.items()) for g in want]
+            expected_calls = [
+                (g, [d for d in basis if d._lead() < g._lead()]) for g in basis
+            ] if len(basis) > 1 else []
+            assert [(f, [id(d) for d in ds]) for f, ds in calls] == [
+                (f, [id(d) for d in ds]) for f, ds in expected_calls
+            ]
+            sizes.add(len(basis))
+        assert {1, 2, 3} <= sizes and max(sizes) >= 4
+
     @pytest.mark.parametrize("cap", [-1, 1.5, "3"])
     def test_one_generator_still_reads_the_cap(self, cap):
         x, y = R2.gens

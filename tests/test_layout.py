@@ -25,6 +25,11 @@ Two more rules keep one implementation per operation: only
 keys from a heap, and ``Codec.lcms`` alone compares exponent fields
 through the guard bits, for the engine's J-pairs, ``Codec.lcm`` and
 ``Codec.gcd`` alike.
+
+Frobenius roots decide a unit by one degree bound: ``Codec._below`` alone
+holds the guard-bit test "every field below Q", ``frobroot`` reaches the
+bound only through ``_unit_by_degree``, and no root calls
+``total_degree`` outside grevlex, where it would decode every term.
 """
 
 from __future__ import annotations
@@ -294,3 +299,130 @@ def test_the_codec_has_one_lcm_rule():
 )
 def test_the_field_scan_finds_a_planted_lcm(source, found):
     assert functions_where(source, compares_fields) == found
+
+
+def adds_then_masks(node: ast.AST) -> bool:
+    """Whether ``node`` is ``(a + b) & mask``: a sum read through the guard bits,
+    which mark the fields that the addend carried past a bound."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Add)
+                for side in (node.left, node.right))
+    )
+
+
+def test_the_codec_has_one_bound_test_on_fields():
+    # the "every field below Q" test that picks a root's terms of floor 0
+    assert package_functions_where(adds_then_masks) == {("polyring.py", "Codec._below")}
+    assert package_functions_where(calls("_below")) == {("frobroot.py", "_root_gens")}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def _root_gens(words, lift, G):\n    return [w for w in words if not (w + lift) & G]\n",
+         {"_root_gens"}),
+        ("class Codec:\n    def below(self, w, lift):\n        return self.guard & (lift + w)\n",
+         {"Codec.below"}),
+        ("def f(a, b, G):\n    return ((b | G) - a) & G == G\n", set()),
+    ],
+    ids=["inline-bound", "method-either-side", "divisibility"],
+)
+def test_the_bound_scan_finds_a_planted_test(source, found):
+    assert functions_where(source, adds_then_masks) == found
+
+
+def names_call(name: str) -> Callable[[ast.AST], bool]:
+    """A test for a call of the module-level function ``name``."""
+    return lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    )
+
+
+def reads_degrees(node: ast.AST) -> bool:
+    """Whether ``node`` reads a codec's ``degree`` or ``word_degree``."""
+    return isinstance(node, ast.Attribute) and node.attr in ("degree", "word_degree")
+
+
+def test_roots_reach_the_degree_bound_through_one_helper():
+    source = (pathlib.Path(fsing.__file__).parent / "frobroot.py").read_text()
+    assert functions_where(source, names_call("_unit_by_degree")) == {"_root_gens", "_root_gens_2"}
+    assert functions_where(source, reads_degrees) == {"_unit_by_degree"}
+
+
+@pytest.mark.parametrize(
+    "source, callers, readers",
+    [
+        ("def _root_gens(g):\n    return _unit_by_degree(g)\n"
+         "def _unit_by_degree(g):\n    return g.ring._codec.word_degree(0)\n",
+         {"_root_gens"}, {"_unit_by_degree"}),
+        ("def _root_gens_2(codec, k):\n    return codec.degree(k) > 3\n", set(), {"_root_gens_2"}),
+        ("def f(g):\n    return g.total_degree()\n", set(), set()),
+    ],
+    ids=["helper", "inline-degree", "other-name"],
+)
+def test_the_helper_scans_find_planted_reads(source, callers, readers):
+    assert functions_where(source, names_call("_unit_by_degree")) == callers
+    assert functions_where(source, reads_degrees) == readers
+
+
+def total_degree_outside_grevlex(source: str) -> set[str]:
+    """Qualified names of the functions of ``source`` that call ``total_degree``
+    anywhere but in the branch of an ``if`` (or conditional expression) taken
+    when the order is ``"grevlex"``, where it reads the leading key alone."""
+    found = set()
+
+    def grevlex_branch(test: ast.AST) -> str | None:
+        # "body" for ``x == "grevlex"``, "orelse" for ``x != "grevlex"``
+        if isinstance(test, ast.Compare) and len(test.ops) == 1 and any(
+            isinstance(side, ast.Constant) and side.value == "grevlex"
+            for side in (test.left, *test.comparators)
+        ):
+            return {ast.Eq: "body", ast.NotEq: "orelse"}.get(type(test.ops[0]))
+        return None
+
+    def visit(node: ast.AST, scope: tuple[str, ...], guarded: bool) -> None:
+        # a nested function may run in any order, so it starts unguarded
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope, guarded = scope + (node.name,), False
+        elif calls("total_degree")(node) and not guarded:
+            found.add(".".join(scope))
+        if isinstance(node, (ast.If, ast.IfExp)) and (branch := grevlex_branch(node.test)):
+            visit(node.test, scope, guarded)
+            for side in ("body", "orelse"):
+                children = getattr(node, side)
+                for child in children if isinstance(children, list) else [children]:
+                    visit(child, scope, guarded or side == branch)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, guarded)
+
+    visit(ast.parse(source), (), False)
+    return found
+
+
+def test_no_root_reads_a_total_degree_outside_grevlex():
+    # in lex and elim, total_degree decodes every term; a root reads the
+    # largest word degree instead, and only when a term of floor 0 exists
+    source = (pathlib.Path(fsing.__file__).parent / "frobroot.py").read_text()
+    assert total_degree_outside_grevlex(source) == set()
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(g):\n    return g.total_degree()\n", {"f"}),
+        ("def f(g, r):\n    if r.order == 'grevlex':\n        return g.total_degree()\n"
+         "    return 0\n", set()),
+        ("def f(g, r):\n    if r.order == 'grevlex':\n        return 0\n"
+         "    return g.total_degree()\n", {"f"}),
+        ("def f(g, r):\n    if r.order != 'grevlex':\n        return g.total_degree()\n", {"f"}),
+        ("def f(g, r):\n    return g.total_degree() if 'grevlex' == r.order else -1\n", set()),
+        ("def f(g, r):\n    if r.order == 'grevlex':\n        def h():\n"
+         "            return g.total_degree()\n        return h\n", {"f.h"}),
+    ],
+    ids=["bare", "grevlex-branch", "after-the-branch", "not-grevlex", "ternary", "nested"],
+)
+def test_the_degree_scan_finds_a_planted_read(source, found):
+    assert total_degree_outside_grevlex(source) == found

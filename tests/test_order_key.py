@@ -23,7 +23,7 @@ from operator import le
 import pytest
 
 from fsing import Ring
-from fsing.polyring import MAX_TOTAL_DEGREE
+from fsing.polyring import MAX_TOTAL_DEGREE, WORD_LIMIT
 
 
 def _sign(v: int) -> int:
@@ -182,6 +182,23 @@ def test_lcm_and_gcd_words_encode_the_tuple_lcm_and_gcd(order, n):
         assert codec.key(codec.lcm(wa, wb)) == key(lcm)
         assert codec.word_degree(codec.lcm(wa, wb)) == sum(lcm)
         assert codec.key(codec.gcd(wa, wb)) == key(gcd)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_guard_bits_pick_the_words_with_every_field_below_a_bound(order, n):
+    rng = random.Random(7450 + 10 * n + len(order))
+    ring = _ring(order, n)
+    key, codec = ring.monomial_key(), ring._codec
+    vectors = _edges(n) + [_exponents(rng, n) for _ in range(150)]
+    words = [codec.word(key(a)) for a in vectors]
+    tops = sorted({max(a) for a in vectors})
+    bounds = {1, 2, 3, 2**20, WORD_LIMIT - 1, WORD_LIMIT, 3**20}
+    bounds |= {top + d for top in rng.sample(tops, min(8, len(tops))) for d in (0, 1)}
+    for Q in sorted(bounds):
+        expected = [w for w, a in zip(words, vectors) if max(a) < Q]
+        assert codec._below(words, Q) == expected, Q
+    assert codec._below(words, WORD_LIMIT) == words
 
 
 @pytest.mark.parametrize("order", ORDERS)
