@@ -32,16 +32,14 @@ exponent vector, so its degree is at least q**e more.  So a term of floor
 0 whose degree exceeds deg(g) - q**e is such a constant.  At p = 2 and in
 the columnar split this degree bound is tried first, on words: the
 columnar split finds the terms of floor 0 with one guard-bit test per
-word (``Codec._below``) and decodes nothing when the bound decides.  Only
-when it does not are the remainders compared, before any floor key is
-computed; the term by term split finds such a component before it builds
-any.  Every split gives the same components, in the order of their
-remainders' exponent tuples.
+word (``Codec._below``) and decodes nothing when the bound decides.  When
+it does not, the components decide: one that is a nonzero constant makes
+the root the unit ideal.  Every split gives the same components, in the
+order of their remainders' exponent tuples.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Hashable, Iterable
 
 from .errors import check_int, check_member
@@ -88,31 +86,19 @@ def _components(
     return out
 
 
-def _lone_constant(rems: list[Hashable], consts: list[Hashable]) -> bool:
-    # whether a term of floor 0, of remainder in consts, shares its
-    # remainder with no other term: then its component is that constant
-    return bool(consts) and (
-        len(set(rems)) == len(rems) or 1 in map(Counter(rems).__getitem__, consts)
-    )
-
-
-def _unit_by_degree(ring: Ring, g: Poly, words: list[int], low: list[int], Q: int) -> bool:
+def _unit_by_degree(ring: Ring, g: Poly, low: list[int], Q: int) -> bool:
     # whether a term of floor 0, of word in low, has a degree above
     # deg(g) - Q: then no other term shares its remainder (see the module
     # docstring), and its component is that constant
     if not low:
         return False
     codec = ring._codec
-    degree = codec.word_degree
-    if ring.order == "grevlex":
-        bound = codec.degree(g._lead()) - Q
-    else:
-        bound = max(map(degree, words)) - Q
+    bound = g.total_degree() - Q
     # a term of floor 0 has degree at most n * (Q - 1), so past that no
     # degree needs reading
     if bound >= codec.n * (Q - 1):
         return False
-    return bound < 0 or max(map(degree, low)) > bound
+    return bound < 0 or max(map(codec.word_degree, low)) > bound
 
 
 def _root_gens_2(ring: Ring, gens: Iterable[Poly], t: int) -> tuple[Poly, ...]:
@@ -123,7 +109,7 @@ def _root_gens_2(ring: Ring, gens: Iterable[Poly], t: int) -> tuple[Poly, ...]:
         return (ring.one,) if any(gens) else ()
     codec = ring._codec
     word, key = codec.word, codec.key
-    R, F = codec._split_masks(t)
+    F = codec._split_masks(t)
     out: list[Poly] = []
     for g in gens:
         terms = g._terms
@@ -138,11 +124,9 @@ def _root_gens_2(ring: Ring, gens: Iterable[Poly], t: int) -> tuple[Poly, ...]:
         words = codec._words(terms)
         floors = [(w >> t) & F for w in words]
         if 0 in floors:
-            # decided before any floor key: a term of floor 0 is its remainder
+            # decided before any floor key (see the module docstring)
             low = [w for w, f in zip(words, floors) if not f]
-            if _unit_by_degree(ring, g, words, low, 1 << t) or _lone_constant(
-                [w & R for w in words], low
-            ):
+            if _unit_by_degree(ring, g, low, 1 << t):
                 return (ring.one,)
         parts = _components(ring, codec._ranks(words, t), codec._keys(floors), terms.values())
         if parts is None:
@@ -181,18 +165,13 @@ def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
             rems = [tuple([b % Q for b in decode(k)]) for k in terms]
             floors = [(k - encode(rem)) // Q for k, rem in zip(terms, rems)]
         else:
-            # decided before any term is decoded, then before any floor key
-            # (see the module docstring)
+            # decided before any term is decoded (see the module docstring)
             words = codec._words(terms)
             low = codec._below(words, Q)
-            if _unit_by_degree(ring, g, words, low, Q):
+            if _unit_by_degree(ring, g, low, Q):
                 return (ring.one,)
             cols = codec.columns(words)
             rems = list(zip(*[[b % Q for b in col] for col in cols]))
-            if low:
-                tops = map(max, *cols) if len(cols) > 1 else cols[0]
-                if _lone_constant(rems, [rem for rem, top in zip(rems, tops) if top < Q]):
-                    return (ring.one,)
             floors = codec.keys_of([[b // Q for b in col] for col in cols])
         parts = _components(ring, rems, floors, terms.values())
         if parts is None:

@@ -491,17 +491,12 @@ def _interreduced(basis: Sequence[Poly]) -> tuple[Poly, ...]:
     # already pairwise indivisible, so one pass yields the reduced basis.
     # Every tail term lies below its element's lead, and a leading monomial
     # divides only terms of key at least its own, so only the elements of
-    # smaller lead, in their order, can reduce it.  Each element is still
-    # divided, by no divisor if need be, when there is another element, so
-    # the divisions and the remainders' term order are those of dividing by
-    # all the others.
+    # smaller lead, in their order, can reduce it; an element with none is
+    # kept as it is.
     out: list[Poly] = []
     for g in basis:
-        r = g
-        if len(basis) > 1:
-            lk = g._lead()
-            smaller = [d for d in basis if d._lead() < lk]
-            r = poly_division(g, smaller, with_quotients=False)[1]
+        lk = g._lead()
+        r = normal_form(g, [d for d in basis if d._lead() < lk])
         if r:
             out.append(r.monic())
     out.sort(key=Poly._lead, reverse=True)

@@ -248,11 +248,10 @@ class Codec:
         lift, G = (self.guard >> (_BITS - 1)) * (WORD_LIMIT - Q), self.guard
         return [w for w in words if not (w + lift) & G]
 
-    def _split_masks(self, t: int) -> tuple[int, int]:
-        # the low t bits of every field, and the bits of every field that a
-        # shift right by t leaves from the field itself (0 < t < 32)
-        ones = self.guard >> (_BITS - 1)
-        return ones * ((1 << t) - 1), ones * (_MASK >> t)
+    def _split_masks(self, t: int) -> int:
+        # the bits of every field that a shift right by t leaves from the
+        # field itself (0 < t < 32)
+        return (self.guard >> (_BITS - 1)) * (_MASK >> t)
 
     def _ranks(self, words: Sequence[int], t: int) -> list[int]:
         # ints that rank the low t bits of each field of the words as their
@@ -478,8 +477,9 @@ class Poly:
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial.
 
-        grevlex reads it off the leading key; the other orders decode every
-        term once, and the result is cached.
+        grevlex reads it off the leading key; the other orders read every
+        term's degree off its key, without decoding it, and the result is
+        cached.
         """
         if self._deg is None:
             if not self._terms:

@@ -285,14 +285,7 @@ class TestLongGenerators:
         assert self._check(ring, [g], 1) is False
         assert ring("1 + x") in _root_gens(ring, (g,), 1)
 
-    @staticmethod
-    def _no_floor_keys(monkeypatch):
-        def refuse(self, columns):
-            raise AssertionError("a floor key was computed")
-
-        monkeypatch.setattr(polyring.Codec, "keys_of", refuse)
-
-    def test_a_unique_constant_is_decided_before_any_floor_key(self, monkeypatch):
+    def test_a_unique_constant_gives_the_unit_ideal_alone(self):
         ring = Ring(p=3, var_names=("x", "y", "z"))
         # x^2*y^2*z^2 has the only floor 0 and the only remainder (2, 2, 2);
         # the other terms' remainders are all distinct in the first
@@ -305,12 +298,10 @@ class TestLongGenerators:
         # in one variable, x^2 is the only term whose remainder is 2
         single = Ring(p=3, var_names=("x",))
         one = single("x^2 + x^3 + x^6 + x^9 + x^12 + x^15 + x^18 + x^21")
-        assert min(len(g) for g in (distinct, colliding, one)) >= _COLUMNAR_TERMS
-        self._no_floor_keys(monkeypatch)
-        for g in (distinct, colliding):
-            assert _root_gens(ring, (g,), 1) == (ring.one,)
-        assert _root_gens(single, (one,), 1) == (single.one,)
-        assert poly_root(one, 1).gens == (single.one,)
+        for g in (distinct, colliding, one):
+            assert len(g) >= _COLUMNAR_TERMS
+            assert _root_gens(g.ring, (g,), 1) == (g.ring.one,)
+            assert poly_root(g, 1).gens == (g.ring.one,)
 
     def test_constants_sharing_their_remainders_split_like_plain_dicts(self):
         # every floor-0 term (1, x, y*z, x*y*z) shares its remainder with a
@@ -450,9 +441,9 @@ class TestDegreeBound:
     any other term of that remainder has degree at least its own plus Q.
     So a term of floor 0 above deg(g) - Q is a constant component, and
     the root is (1) before any term is decoded (odd p) or any remainder
-    is compared (p = 2).  A lone term of floor 0 at or below that degree
-    is left to ``_lone_constant``; one that shares its remainder gives no
-    constant.
+    or floor key is computed (p = 2).  A lone term of floor 0 at or below
+    that degree is left to ``_components``, which finds its constant; one
+    that shares its remainder gives no constant.
     """
 
     RINGS = [
@@ -578,30 +569,31 @@ class TestDegreeBound:
                 for h in got:
                     if len(h) == 1:
                         assert h.leading_monomial() == next(iter(dict(h.terms())))
-            lone = []
+            parts = []
             with monkeypatch.context() as m:
                 if kind == "fires":
                     def refuse(*args):
                         raise AssertionError("the degree bound should have decided")
 
                     if ring.p == 2:
-                        m.setattr(frobroot, "_lone_constant", refuse)
+                        m.setattr(polyring.Codec, "_ranks", refuse)
+                        m.setattr(ring._codec, "_keys", refuse)
                     else:
                         for name in ("columns", "decode", "keys_of"):
                             m.setattr(polyring.Codec, name, refuse)
                 else:
-                    spied = frobroot._lone_constant
+                    spied = frobroot._components
 
-                    def spy(rems, consts):
-                        lone.append(spied(rems, consts))
-                        return lone[-1]
+                    def spy(*args):
+                        parts.append(spied(*args))
+                        return parts[-1]
 
-                    m.setattr(frobroot, "_lone_constant", spy)
+                    m.setattr(frobroot, "_components", spy)
                 assert _root_gens(ring, (g,), e) == got
             if kind == "lone":
-                assert lone == [True]
+                assert parts == [None]
             elif kind == "proper":
-                assert lone == [False]
+                assert len(parts) == 1 and isinstance(parts[0], list)
             seen[kind] += 1
             huge += ring.p > 2 and Q >= polyring.WORD_LIMIT
             wide += ring.p == 2 and Q == 2**19
@@ -627,3 +619,45 @@ class TestDegreeBound:
                 _root_gens(ring, (g,), e)
             assert calls - before == 1, (kind, ring, e)
         assert calls >= 60
+
+    @pytest.mark.parametrize("order", ["lex", "elim"])
+    def test_outside_grevlex_deg_g_is_read_only_for_a_term_of_floor_0(self, order, monkeypatch):
+        # deg(g) is the largest degree of any term here; a long generator
+        # with no term of floor 0 is rooted without it, and one with such a
+        # term reads it at most once
+        rng = random.Random(f"deg-{order}")
+        cases = []
+        for p in (2, 3):
+            ring = Ring(p=p, var_names=("x", "y", "z"), order=order)
+            for e in (1, 2):
+                Q = ring.q**e
+                for _ in range(10):
+                    terms, size = {}, rng.randint(_COLUMNAR_TERMS, 40)
+                    while len(terms) < size:
+                        m = [rng.randint(0, 3 * Q) for _ in range(3)]
+                        j = rng.randrange(3)
+                        m[j] = max(m[j], Q)
+                        terms[tuple(m)] = rng.randrange(1, p)
+                    low = tuple(rng.randrange(Q) for _ in range(3))
+                    for floor_0, exps in ((False, terms), (True, {**terms, low: 1})):
+                        g = ring.poly(exps)
+                        cases.append((ring, e, g, floor_0, _plain_split([dict(g.terms())], Q)))
+        reads = []
+        total_degree = polyring.Poly.total_degree
+
+        def spy(g):
+            reads.append(g)
+            return total_degree(g)
+
+        monkeypatch.setattr(polyring.Poly, "total_degree", spy)
+        read = 0
+        for ring, e, g, floor_0, want in cases:
+            reads.clear()
+            got = _root_gens(ring, (g,), e)
+            assert len(reads) <= floor_0 and all(r is g for r in reads), (ring, e, floor_0)
+            read += len(reads)
+            if want is None:
+                assert got == (ring.one,)
+            else:
+                assert [dict(h.terms()) for h in got] == want
+        assert read >= 20 and sum(want is None for *_, want in cases) >= 10

@@ -467,9 +467,8 @@ class TestBuchberger:
     @pytest.mark.parametrize("order", ["grevlex", "lex", "elim"])
     def test_interreduction_divides_by_the_smaller_leads_alone(self, order, monkeypatch):
         # a divisor of larger lead divides no term of an element, so each
-        # element meets only the smaller leads, in list order; with another
-        # element it is still divided once, so the answer, its dict order
-        # and the count of divisions are those of dividing by all the others
+        # element meets only the smaller leads, in list order, and one with
+        # no smaller lead is kept undivided, in its own term order
         rng = random.Random(f"interreduce-{order}")
         ring = Ring(p=5, var_names=("x", "y", "z"), order=order)
         calls = []
@@ -480,6 +479,7 @@ class TestBuchberger:
             return division(f, divisors, *args, **kwargs)
 
         sizes = set()
+        kept = 0
         for _ in range(30):
             gens = [rand_poly(rng, ring, 4, 3, nonzero=True) for _ in range(rng.randint(1, 4))]
             reduced = buchberger(gens, ring)
@@ -492,23 +492,29 @@ class TestBuchberger:
                     if (t * d)._lead() < g._lead():
                         basis[i] = basis[i] + 2 * t * d
             rng.shuffle(basis)
-            want = sorted(
-                (groebner.normal_form(g, [d for d in basis if d is not g]).monic() for g in basis),
-                key=Poly._lead, reverse=True,
-            )
+            smaller = {id(g): [d for d in basis if d._lead() < g._lead()] for g in basis}
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(groebner, "poly_division", spy)
                 got = groebner._interreduced(basis)
             assert got == reduced
-            assert [list(g._terms.items()) for g in got] == [list(g._terms.items()) for g in want]
-            expected_calls = [
-                (g, [d for d in basis if d._lead() < g._lead()]) for g in basis
-            ] if len(basis) > 1 else []
+            by_lead = {g._lead(): g for g in basis}
+            for h in got:
+                g = by_lead[h._lead()]
+                if smaller[id(g)]:
+                    # the normal form by the smaller leads, term order and all
+                    want = groebner.normal_form(g, smaller[id(g)]).monic()
+                else:
+                    # undivided: the input's own term order
+                    want = g.monic()
+                    kept += len(basis) > 1
+                assert list(h._terms.items()) == list(want._terms.items())
+            expected_calls = [(g, smaller[id(g)]) for g in basis if smaller[id(g)]]
             assert [(f, [id(d) for d in ds]) for f, ds in calls] == [
                 (f, [id(d) for d in ds]) for f, ds in expected_calls
             ]
             sizes.add(len(basis))
+        assert kept >= 5
         assert {1, 2, 3} <= sizes and max(sizes) >= 4
 
     @pytest.mark.parametrize("cap", [-1, 1.5, "3"])

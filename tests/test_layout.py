@@ -27,9 +27,8 @@ through the guard bits, for the engine's J-pairs, ``Codec.lcm`` and
 ``Codec.gcd`` alike.
 
 Frobenius roots decide a unit by one degree bound: ``Codec._below`` alone
-holds the guard-bit test "every field below Q", ``frobroot`` reaches the
-bound only through ``_unit_by_degree``, and no root calls
-``total_degree`` outside grevlex, where it would decode every term.
+holds the guard-bit test "every field below Q", and ``frobroot`` reaches
+the bound only through ``_unit_by_degree``.
 """
 
 from __future__ import annotations
@@ -366,63 +365,3 @@ def test_the_helper_scans_find_planted_reads(source, callers, readers):
     assert functions_where(source, names_call("_unit_by_degree")) == callers
     assert functions_where(source, reads_degrees) == readers
 
-
-def total_degree_outside_grevlex(source: str) -> set[str]:
-    """Qualified names of the functions of ``source`` that call ``total_degree``
-    anywhere but in the branch of an ``if`` (or conditional expression) taken
-    when the order is ``"grevlex"``, where it reads the leading key alone."""
-    found = set()
-
-    def grevlex_branch(test: ast.AST) -> str | None:
-        # "body" for ``x == "grevlex"``, "orelse" for ``x != "grevlex"``
-        if isinstance(test, ast.Compare) and len(test.ops) == 1 and any(
-            isinstance(side, ast.Constant) and side.value == "grevlex"
-            for side in (test.left, *test.comparators)
-        ):
-            return {ast.Eq: "body", ast.NotEq: "orelse"}.get(type(test.ops[0]))
-        return None
-
-    def visit(node: ast.AST, scope: tuple[str, ...], guarded: bool) -> None:
-        # a nested function may run in any order, so it starts unguarded
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope, guarded = scope + (node.name,), False
-        elif calls("total_degree")(node) and not guarded:
-            found.add(".".join(scope))
-        if isinstance(node, (ast.If, ast.IfExp)) and (branch := grevlex_branch(node.test)):
-            visit(node.test, scope, guarded)
-            for side in ("body", "orelse"):
-                children = getattr(node, side)
-                for child in children if isinstance(children, list) else [children]:
-                    visit(child, scope, guarded or side == branch)
-            return
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope, guarded)
-
-    visit(ast.parse(source), (), False)
-    return found
-
-
-def test_no_root_reads_a_total_degree_outside_grevlex():
-    # in lex and elim, total_degree decodes every term; a root reads the
-    # largest word degree instead, and only when a term of floor 0 exists
-    source = (pathlib.Path(fsing.__file__).parent / "frobroot.py").read_text()
-    assert total_degree_outside_grevlex(source) == set()
-
-
-@pytest.mark.parametrize(
-    "source, found",
-    [
-        ("def f(g):\n    return g.total_degree()\n", {"f"}),
-        ("def f(g, r):\n    if r.order == 'grevlex':\n        return g.total_degree()\n"
-         "    return 0\n", set()),
-        ("def f(g, r):\n    if r.order == 'grevlex':\n        return 0\n"
-         "    return g.total_degree()\n", {"f"}),
-        ("def f(g, r):\n    if r.order != 'grevlex':\n        return g.total_degree()\n", {"f"}),
-        ("def f(g, r):\n    return g.total_degree() if 'grevlex' == r.order else -1\n", set()),
-        ("def f(g, r):\n    if r.order == 'grevlex':\n        def h():\n"
-         "            return g.total_degree()\n        return h\n", {"f.h"}),
-    ],
-    ids=["bare", "grevlex-branch", "after-the-branch", "not-grevlex", "ternary", "nested"],
-)
-def test_the_degree_scan_finds_a_planted_read(source, found):
-    assert total_degree_outside_grevlex(source) == found
