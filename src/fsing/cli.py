@@ -202,9 +202,7 @@ def _cmd_verify(ring: Ring, args: argparse.Namespace, text: str) -> _Outcome:
     root = ideal_root(ideal, level)
     # refuses a level whose q^e passes the degree guard before any check
     # below runs a root per level or forms q^e
-    max_ideal_bracket = Ideal(
-        ring, tuple(g.frobenius_power(level) for g in ring.gens)
-    )
+    max_ideal_bracket = Ideal(ring, ring.gens).bracket_power(level)
 
     # the root must be big enough: I <= root^[q^e]
     bracket = root.bracket_power(level)

@@ -142,29 +142,20 @@ class FrobModule:
         check_member(multiplier, Poly, "the multiplier")
         check_member(relations, Ideal, "the relations", multiplier.ring)
         check_member(ambient, Ideal, "the ambient ideal", multiplier.ring)
-        for g in relations.gens:
-            if not ambient.contains(g):
-                raise ValidationError(
-                    f"relations are not contained in the ambient ideal: "
-                    f"witness generator {g}",
-                    witness=g,
-                )
-        rel_bracket = relations.bracket_power(1)
-        for g in relations.gens:
-            if not rel_bracket.contains(multiplier * g):
-                raise ValidationError(
-                    f"multiplier does not carry the relations into their "
-                    f"bracket power: witness generator {g}",
-                    witness=g,
-                )
-        amb_bracket = ambient.bracket_power(1)
-        for g in ambient.gens:
-            if not amb_bracket.contains(multiplier * g):
-                raise ValidationError(
-                    f"multiplier does not carry the ambient ideal into its "
-                    f"bracket power: witness generator {g}",
-                    witness=g,
-                )
+        # (inner, outer, e): every generator of inner, times f when e = 1,
+        # lies in outer^[q^e].  Each bracket is taken when its check starts,
+        # so the ambient's bracket inherits the basis the first check cached.
+        for inner, outer, e, failure in (
+            (relations, ambient, 0, "relations are not contained in the ambient ideal"),
+            (relations, relations, 1,
+             "multiplier does not carry the relations into their bracket power"),
+            (ambient, ambient, 1,
+             "multiplier does not carry the ambient ideal into its bracket power"),
+        ):
+            target = outer.bracket_power(e)
+            for g in inner.gens:
+                if not target.contains(multiplier * g if e else g):
+                    raise ValidationError(f"{failure}: witness generator {g}", witness=g)
         return cls(relations, ambient, multiplier)
 
     @classmethod
@@ -263,11 +254,13 @@ class FrobModule:
         old relations and the multiplier, never on the ambient ideal, so
         every ambient presentation of one module is carried to one and the
         same quotient presentation.  The structural map of the result is
-        injective; that is checked, not assumed.
+        injective; that is checked, not assumed, and with no kernel step run
+        again: the chain ends at its own kernel step, which must meet the
+        new ambient ideal in the new relations.
         """
         part, _ = self._kernel_chain()
         out = FrobModule(part, (self.ambient + part).canonical(), self.multiplier)
-        if out.structural_kernel() != part:
+        if not out._certificate(part, out.ambient).structural_map_injective:
             raise InvariantError(
                 "quotient by the stabilized kernel chain must have an "
                 "injective structural map"

@@ -109,7 +109,7 @@ def _root_gens_2(ring: Ring, gens: Iterable[Poly], t: int) -> tuple[Poly, ...]:
         return (ring.one,) if any(gens) else ()
     codec = ring._codec
     word, key = codec.word, codec.key
-    F = codec._split_masks(t)
+    F = codec._floor_mask(t)
     out: list[Poly] = []
     for g in gens:
         terms = g._terms

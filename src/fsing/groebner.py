@@ -56,9 +56,10 @@ monomials: G's own elements, and the cofactor of each J-pair that
 reduces to zero, less q_c*u_c for each new divisor c of that reduction.
 A unit does not end this step.  At its end the syzygy criterion's minimal
 monomials generate the leading monomials of (G : f), so their elements,
-tail-reduced, are its reduced basis.  Before the step, colon takes two
-shortcuts that compute no basis: a monomial ideal divided by a monomial n
-is (m_i / gcd(m_i, n)), and f in I with I's basis cached gives (1).
+tail-reduced, are its reduced basis; f in G gives (1) at the first
+division.  A monomial ideal divided by a monomial n is (m_i / gcd(m_i, n))
+with no basis computed, and a lex or elim ring tests f in G first when G's
+basis is cached, so that its grevlex copy builds none to find (1).
 
 Intersection owns the exact shortcuts and the one general route, the
 auxiliary-variable elimination (Cox, Little and O'Shea, *Ideals,
@@ -660,12 +661,13 @@ class Ideal:
     def colon(self, f: Poly) -> "Ideal":
         """The quotient (I : f) = {g : g*f in I}; f must be nonzero.
 
-        A monomial ideal divided by a monomial n is (m_i / gcd(m_i, n)), and
-        f in I with I's reduced basis cached gives (1); neither computes a
-        basis.  Everything else is read off one G2V step that extends I's
-        reduced basis by f while tracking cofactors, and the answer comes
-        with its reduced basis cached.  A lex or elim ring runs that step in
-        its grevlex copy, and the answer's generators are that copy's basis.
+        A monomial ideal divided by a monomial n is (m_i / gcd(m_i, n)), with
+        no basis computed.  Everything else is read off one G2V step that
+        extends I's reduced basis by f while tracking cofactors, whose first
+        division gives (1) when f is in I; in a grevlex ring the answer comes
+        with its reduced basis cached.  A lex or elim ring tests f in I first
+        when I's basis is cached, else runs that step in its grevlex copy,
+        and the answer's generators are that copy's basis.
         """
         check_member(f, Poly, "the divisor", self.ring)
         if not f:
@@ -679,11 +681,12 @@ class Ideal:
                 return Ideal._of_basis(
                     ring, _monomial_basis(ring, {m - codec.gcd(m, n) for m in mine})
                 )
+        if ring.order == "grevlex":
+            return Ideal._of_basis(ring, _quotient(self, (f,)))
         if self._gb is not None and self.contains(f):
             return Ideal._of_basis(ring, (ring.one,))
-        gens = _in_grevlex(self, (f,), _quotient)
-        # only in a grevlex ring is the copy's reduced basis the ideal's own
-        return (Ideal._of_basis if ring.order == "grevlex" else Ideal._of_checked)(ring, gens)
+        # the copy's reduced basis is not the ideal's own in this order
+        return Ideal._of_checked(ring, _in_grevlex(self, (f,), _quotient))
 
     def _eliminate(self, other: "Ideal") -> tuple[Poly, ...]:
         # generators of I ∩ J, by elimination in the grevlex copy

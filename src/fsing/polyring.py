@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from struct import Struct, unpack_from
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
@@ -248,7 +248,7 @@ class Codec:
         lift, G = (self.guard >> (_BITS - 1)) * (WORD_LIMIT - Q), self.guard
         return [w for w in words if not (w + lift) & G]
 
-    def _split_masks(self, t: int) -> int:
+    def _floor_mask(self, t: int) -> int:
         # the bits of every field that a shift right by t leaves from the
         # field itself (0 < t < 32)
         return (self.guard >> (_BITS - 1)) * (_MASK >> t)
@@ -632,16 +632,11 @@ class Poly:
     __rmul__ = __mul__
 
     def _small_pow(self, m: int) -> "Poly":
-        # plain square-and-multiply for exponents below q
-        result = self.ring.one
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        # plain square-and-multiply for exponents 1 <= m < q, lowest bit first
+        squares = [self]
+        while m >> len(squares):
+            squares.append(squares[-1] * squares[-1])
+        return reduce(Poly.__mul__, [b for i, b in enumerate(squares) if m >> i & 1])
 
     def __pow__(self, m: int) -> "Poly":
         """Exact m-th power.
@@ -650,6 +645,7 @@ class Poly:
         by plain squaring and the digit positions by Frobenius twists; the
         two routes agree because the q-power map is a ring endomorphism.
         This keeps powers like f**(1 + q + q**2) sparse instead of dense.
+        No product starts at the constant one, so ``f**1`` is f itself.
         """
         check_int(m, "a power's exponent", 0)
         if m == 0:
@@ -659,16 +655,16 @@ class Poly:
         check_degree(self.total_degree() * m)
         q = self.ring.q
         digit_pows: dict[int, Poly] = {}
-        result = self.ring.one
+        factors: list[Poly] = []
         level = 0
         while m:
             m, d = divmod(m, q)
             if d:
                 if d not in digit_pows:
                     digit_pows[d] = self._small_pow(d)
-                result = result * digit_pows[d].frobenius_power(level)
+                factors.append(digit_pows[d].frobenius_power(level))
             level += 1
-        return result
+        return reduce(Poly.__mul__, factors)
 
     def frobenius_power(self, e: int) -> "Poly":
         """Apply the e-fold Frobenius: every exponent is scaled by q**e.

@@ -15,9 +15,9 @@ only that digit is searched.
 
 Two chains probe the same minimal-model theory from different angles: the
 direct chain expands f at exponent 1 + q + ... + q**(e-1) and takes its
-level-e root in one shot, while the iterated chain applies the single
-multiply-and-root step e times starting from the unit ideal.  They agree
-level by level, and they collapse to the unit ideal exactly when the
+level-e root in one shot, while the iterated chain is the descent above
+with every digit 1, started at the unit ideal.  They agree level by level,
+and they collapse to the unit ideal exactly when the
 principal module on f is already minimal; over the threshold side, the
 level-e bracket pins the F-pure threshold of f at the origin into an
 interval of width q**-e.
@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
-from typing import Iterable
+from itertools import accumulate, islice
 
 from .errors import DomainError, InvariantError, check_int, check_member
 from .frobmod import FrobModule, shrink_step, walk
@@ -41,9 +40,10 @@ from .polyring import Poly
 class _Descent:
     """The descent J_0 = (1), J_{i+1} = root(f**d_i * J_i, 1) for one f.
 
-    Each step is computed once per instance, keyed by its digit and the
-    reduced basis of its input; an instance lives for one call of
-    :func:`test_ideal` or :func:`nu` only.
+    The only code that steps a test-ideal chain.  Each step is computed
+    once per instance, keyed by its digit and the reduced basis of its
+    input; an instance lives for one call of :func:`test_ideal`,
+    :func:`je_chain` or :func:`nu` only.
     """
 
     def __init__(self, f: Poly):
@@ -60,13 +60,6 @@ class _Descent:
         if out is None:
             out = self.steps[key] = shrink_step(self.zero, self.f**d, ideal)
         return out
-
-    def __call__(self, digits: Iterable[int]) -> Ideal:
-        """J_k for the digits d_0, d_1, ..., d_{k-1}, lowest first."""
-        cur = self.unit
-        for d in digits:
-            cur = self.step(d, cur)
-        return cur
 
 
 def test_ideal(f: Poly, m: int, e: int) -> Ideal:
@@ -88,8 +81,10 @@ def test_ideal(f: Poly, m: int, e: int) -> Ideal:
         rest, d = divmod(rest, q)
         digits.append(d)
     descent = _Descent(f)
-    tail = walk(partial(descent.step, 0), descent(digits))
-    *_, cur = islice(tail, e - len(digits) + 1)
+    cur = descent.unit
+    for d in digits:
+        cur = descent.step(d, cur)
+    *_, cur = islice(walk(partial(descent.step, 0), cur), e - len(digits) + 1)
     return cur.scale(f**rest) if rest else cur
 
 
@@ -109,21 +104,21 @@ def je_chain(f: Poly, e_max: int) -> list[ChainLevel]:
     ``direct`` is the level-e test ideal at exponent
     (1 + q + ... + q**(e-1))/q**e, taken as the one-shot root of the
     expanded power rather than by the descent of :func:`test_ideal`, so
-    that the two columns are independent routes; the power grows by one
-    Frobenius twist of f per level.  ``iterated`` applies the single
-    multiply-and-root step e times from the unit ideal, as a :func:`walk`:
+    that the two columns are independent routes; the power starts at f and
+    grows by one Frobenius twist of f per level.  ``iterated`` is the
+    descent of :func:`test_ideal` with every digit 1, as a :func:`walk`:
     past its fixed point the level repeats it instead of stepping again.
     The ``equal`` flags record the comparison instead of assuming it.
     """
     check_int(e_max, "the chain length", 1)
-    ring = f.ring
-    column = walk(partial(shrink_step, Ideal(ring, ()), f), Ideal(ring, (ring.one,)))
+    descent = _Descent(f)
+    column = walk(partial(descent.step, 1), descent.unit)
     iterated = next(column)
     levels: list[ChainLevel] = []
-    power = ring.one  # f**(1 + q + ... + q**(e-1)) at level e
-    for e in range(1, e_max + 1):
+    # f**(1 + q + ... + q**(e-1)) at level e, from f itself: no product by one
+    powers = accumulate((f.frobenius_power(i) for i in range(e_max)), Poly.__mul__)
+    for e, power in enumerate(powers, 1):
         iterated = next(column, iterated)  # past the fixed point, repeat it
-        power = power * f.frobenius_power(e - 1)
         direct = poly_root(power, e).canonical()
         levels.append(
             ChainLevel(level=e, direct=direct, iterated=iterated, equal=direct == iterated)

@@ -10,6 +10,7 @@ from itertools import islice
 import pytest
 
 import fsing.frobmod as frobmod
+import fsing.groebner as groebner
 from fsing import (
     DomainError,
     FrobModule,
@@ -227,6 +228,30 @@ class TestValidate:
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             FrobModule.validate(Ideal(R1, ()), Ideal(R2, (R2.one,)), R2.one)
+
+    def test_each_check_builds_at_most_one_basis(self, monkeypatch):
+        # the ambient's bracket inherits the basis the first check cached:
+        # relations present, the ambient's basis and the relations' bracket's;
+        # else only the ambient bracket's, when the ambient has generators
+        pool = module_pool(137, 40, POOL_RINGS)
+        built = []
+        buchberger = groebner.buchberger
+
+        def counted(gens, ring):
+            built.append(ring)
+            return buchberger(gens, ring)
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        kinds = set()
+        for module in pool:
+            ring = module.ring
+            relations = Ideal(ring, module.relations.gens)
+            ambient = Ideal(ring, module.ambient.gens)
+            built.clear()
+            FrobModule.validate(relations, ambient, module.multiplier)
+            kinds.add((bool(relations.gens), bool(ambient.gens)))
+            assert len(built) == (2 if relations.gens else 1 if ambient.gens else 0)
+        assert {(True, True), (False, True)} <= kinds
 
     def test_zero_multiplier_always_valid(self):
         x, y = R2.gens
@@ -580,6 +605,17 @@ class TestMinimalize:
             chain_calls = list(calls)
             calls.clear()
             module.minimalize()
+            assert calls == chain_calls
+
+    def test_mod_nilpotent_makes_the_chain_walks_kernel_steps_alone(self, monkeypatch):
+        # the chain's last colon is the quotient's injectivity check too
+        calls = counted_steps(monkeypatch, "kernel_step")
+        for module in self.stepping_modules():
+            calls.clear()
+            module._kernel_chain()
+            chain_calls = list(calls)
+            calls.clear()
+            module.mod_nilpotent()
             assert calls == chain_calls
 
     def test_certify_on_the_result_runs_both_steps_afresh(self, monkeypatch):

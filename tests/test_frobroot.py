@@ -403,7 +403,7 @@ class TestCharacteristicTwo:
         def refuse(self, t):
             raise AssertionError(f"a mask was built for t = {t}")
 
-        monkeypatch.setattr(polyring.Codec, "_split_masks", refuse)
+        monkeypatch.setattr(polyring.Codec, "_floor_mask", refuse)
         for s, e in ((1, 20), (1, 10**6), (2, 10), (3, 7), (7, 3)):
             ring = Ring(p=2, var_names=("x", "y"), s=s)
             x, y = ring.gens

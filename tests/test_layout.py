@@ -29,6 +29,10 @@ through the guard bits, for the engine's J-pairs, ``Codec.lcm`` and
 Frobenius roots decide a unit by one degree bound: ``Codec._below`` alone
 holds the guard-bit test "every field below Q", and ``frobroot`` reaches
 the bound only through ``_unit_by_degree``.
+
+Every test-ideal chain is one descent: in ``testideals.py`` only
+``_Descent.step`` names ``shrink_step``, so ``test_ideal``, ``je_chain``
+and ``nu`` all step through it.
 """
 
 from __future__ import annotations
@@ -365,3 +369,33 @@ def test_the_helper_scans_find_planted_reads(source, callers, readers):
     assert functions_where(source, names_call("_unit_by_degree")) == callers
     assert functions_where(source, reads_degrees) == readers
 
+
+
+def names(name: str) -> Callable[[ast.AST], bool]:
+    """A test for any reference to ``name``: a bare name or an attribute."""
+    return lambda node: (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_one_descent_steps_every_test_ideal_chain():
+    source = (pathlib.Path(fsing.__file__).parent / "testideals.py").read_text()
+    assert functions_where(source, names("shrink_step")) == {"_Descent.step"}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def je_chain(f, zero, unit):\n    return walk(partial(shrink_step, zero, f), unit)\n",
+         {"je_chain"}),
+        ("class _Descent:\n    def __call__(self, ds):\n"
+         "        return frobmod.shrink_step(self.zero, self.f, self.unit)\n",
+         {"_Descent.__call__"}),
+        ("from .frobmod import shrink_step\n"
+         "def je_chain(descent):\n    return walk(partial(descent.step, 1), descent.unit)\n",
+         set()),
+    ],
+    ids=["own-walk", "module-attribute", "import-only"],
+)
+def test_the_descent_scan_finds_a_planted_step(source, found):
+    assert functions_where(source, names("shrink_step")) == found

@@ -148,6 +148,31 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             x ** (-1)
 
+    @pytest.mark.parametrize("p, s", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
+    def test_powers_start_at_their_first_factor(self, p, s, monkeypatch):
+        # each power is built from its own factors: no product has the
+        # constant one as an operand, f**1 is f itself, and f**m equals m - 1
+        # plain products
+        ring = Ring(p=p, var_names=("x", "y"), s=s)
+        x, y = ring.gens
+        f = x * y + x + 1
+        expected = [ring.one, f]
+        for _ in range(3 * ring.q - 1):
+            expected.append(expected[-1] * f)
+        products = []
+        mul = Poly.__mul__
+
+        def spy(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", spy)
+        assert f**1 is f
+        for m, power in enumerate(expected):
+            assert f**m == power
+        assert products
+        assert not [pair for pair in products if ring.one in pair]
+
     def test_cross_ring_arithmetic_rejected(self):
         x, _ = R2.gens
         a = R3.gens[0]
