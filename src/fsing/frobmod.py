@@ -39,6 +39,7 @@ _KERNEL_BUDGET = 32  # levels the iterated kernel chain may climb
 
 def iterate_exponent(q: int, e: int) -> int:
     """Multiplier exponent of the e-fold structural map: 1 + q + ... + q**(e-1)."""
+    check_int(q, "the Frobenius power q", 2)
     check_int(e, "an iterate level", 0)
     return (q**e - 1) // (q - 1)
 
@@ -161,6 +162,7 @@ class FrobModule:
     @classmethod
     def principal(cls, multiplier: Poly) -> "FrobModule":
         """The module on the full ring with no relations: (0) <= (1), f."""
+        check_member(multiplier, Poly, "the multiplier")
         ring = multiplier.ring
         return cls(Ideal(ring, ()), Ideal(ring, (ring.one,)), multiplier)
 
@@ -209,7 +211,7 @@ class FrobModule:
                 return max(e, 1)  # the zero module's map is zero at e = 1
         return None
 
-    def _kernel_chain(self, e_max: int = _KERNEL_BUDGET) -> tuple[Ideal, int]:
+    def _kernel_chain(self) -> tuple[Ideal, int]:
         """Stabilized iterated-kernel chain and the first e where it repeats.
 
         Level e is K_e = (relations^[q^e] : f^(1 + q + ... + q^(e-1))), the
@@ -223,8 +225,11 @@ class FrobModule:
         K_{e+1} = (K_e^[q] : f), one :func:`kernel_step` per level, walked
         from K_0 = relations to its first repeat.  The length is the first
         e >= 1 with K_{e+1} = K_e (1 when the walk stops at K_0); neither
-        answer depends on whether the module is valid.
+        answer depends on whether the module is valid.  A chain that climbs
+        past ``_KERNEL_BUDGET`` levels, read at each call, raises
+        :class:`ResourceError` carrying the last level it reached.
         """
+        e_max = _KERNEL_BUDGET
         step = partial(kernel_step, self.multiplier)
         levels = list(islice(walk(step, self.relations.canonical()), e_max + 2))
         if len(levels) > e_max + 1:

@@ -7,35 +7,30 @@ the floors, and those components generate the level-e root.  Coefficients
 ride along unchanged because c**q == c in F_p.  The root is the left
 adjoint of the bracket power: root(I, e) <= J exactly when I <= J^[q**e].
 
-Terms are stored under their order keys (see :mod:`fsing.polyring`).  At
-p = 2, q**e is 2**t and the split runs on words, the exponents packed one
-per field: a term's remainder is the low t bits of each field, and its
-floor is the word shifted down by t, masked to drop the bits pulled in
-from the next field.  No term is decoded.  Every exponent is below 2**20
-(the degree guard), so from t = 20 on every floor is 0, each nonzero
-generator gives the unit ideal, and no mask is built.
-
-At odd p, a term of key k whose remainder has key r has the floor of key
-``(k - r) // q**e``.  A generator of at least ``_COLUMNAR_TERMS`` terms is
-split by columns: its keys are decoded in one pass into one exponent
-column per variable, one pass per variable takes every remainder and one
-every floor, and the floors' keys are weighted sums of their columns.
-Shorter generators are split term by term, which costs less below that
-size.  A single term is split on its own, and its floor keeps its
-exponents as its leading monomial.
+Terms are stored under their order keys (see :mod:`fsing.polyring`), and
+every characteristic takes the same split.  A term of key k whose
+remainder has key r has the floor of key ``(k - r) // q**e``.  A generator
+of at least ``_COLUMNAR_TERMS`` terms is split by columns: its keys are
+decoded in one pass into one exponent column per variable, one pass per
+variable takes every remainder and one every floor, and the floors' keys
+are weighted sums of their columns.  The remainders rank as one int each,
+their entries read as digits base q**e, x_1's the highest.  Shorter
+generators are split term by term, which costs less below that size.  A
+single term is split on its own, and its floor keeps its exponents as its
+leading monomial.
 
 A term's floor is 0 exactly when its exponents are all below q**e, and
 when no other term shares its remainder its component is a nonzero
 constant, so the root is the unit ideal.  Such a term is its own
 remainder, and any other term of that remainder adds q**e times a nonzero
 exponent vector, so its degree is at least q**e more.  So a term of floor
-0 whose degree exceeds deg(g) - q**e is such a constant.  At p = 2 and in
-the columnar split this degree bound is tried first, on words: the
-columnar split finds the terms of floor 0 with one guard-bit test per
-word (``Codec._below``) and decodes nothing when the bound decides.  When
-it does not, the components decide: one that is a nonzero constant makes
-the root the unit ideal.  Every split gives the same components, in the
-order of their remainders' exponent tuples.
+0 whose degree exceeds deg(g) - q**e is such a constant.  The columnar
+split tries this degree bound first, on words: it finds the terms of
+floor 0 with one guard-bit test per word (``Codec._below``) and decodes
+nothing when the bound decides.  When it does not, the components decide:
+one that is a nonzero constant makes the root the unit ideal.  Every
+split gives the same components, in the order of their remainders'
+exponent tuples.
 """
 
 from __future__ import annotations
@@ -46,9 +41,9 @@ from .errors import check_int, check_member
 from .groebner import Ideal
 from .polyring import FROBENIUS_LEVEL_CAP, Poly, Ring
 
-# Term count from which a generator is split by columns at odd p.  The term
-# by term split decodes and encodes every term, and the columnar one pays a
-# fixed cost per generator; on two and three variables (CPython 3.11) they
+# Term count from which a generator is split by columns.  The term by term
+# split decodes and encodes every term, and the columnar one pays a fixed
+# cost per generator; on two and three variables (CPython 3.11) they
 # cross between 8 and 16 terms, and the fthreshold deck timed the same at both.
 _COLUMNAR_TERMS = 8
 
@@ -101,40 +96,6 @@ def _unit_by_degree(ring: Ring, g: Poly, low: list[int], Q: int) -> bool:
     return bound < 0 or max(map(codec.word_degree, low)) > bound
 
 
-def _root_gens_2(ring: Ring, gens: Iterable[Poly], t: int) -> tuple[Poly, ...]:
-    # The split at q**e = 2**t on words.  Every exponent is at most
-    # MAX_TOTAL_DEGREE < 2**FROBENIUS_LEVEL_CAP, so from there on every
-    # floor is 0.
-    if t >= FROBENIUS_LEVEL_CAP:
-        return (ring.one,) if any(gens) else ()
-    codec = ring._codec
-    word, key = codec.word, codec.key
-    F = codec._floor_mask(t)
-    out: list[Poly] = []
-    for g in gens:
-        terms = g._terms
-        if len(terms) == 1:
-            for k, c in terms.items():
-                floor = (word(k) >> t) & F
-                if not floor:
-                    return (ring.one,)
-                k = key(floor)
-                out.append(Poly(ring, {k: c}, k))
-            continue
-        words = codec._words(terms)
-        floors = [(w >> t) & F for w in words]
-        if 0 in floors:
-            # decided before any floor key (see the module docstring)
-            low = [w for w, f in zip(words, floors) if not f]
-            if _unit_by_degree(ring, g, low, 1 << t):
-                return (ring.one,)
-        parts = _components(ring, codec._ranks(words, t), codec._keys(floors), terms.values())
-        if parts is None:
-            return (ring.one,)
-        out += parts
-    return tuple(out)
-
-
 def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
     # For each nonzero generator, one component polynomial per remainder
     # pattern, sorted by pattern.  A component that is a nonzero constant
@@ -142,8 +103,6 @@ def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
     # alone as soon as it finds one.  No exponent exceeds
     # MAX_TOTAL_DEGREE < q**FROBENIUS_LEVEL_CAP, so capping the level
     # changes no floor or remainder, and a huge q**e is never formed.
-    if ring.p == 2:
-        return _root_gens_2(ring, gens, ring.s * min(e, FROBENIUS_LEVEL_CAP))
     Q = ring.q ** min(e, FROBENIUS_LEVEL_CAP)
     codec = ring._codec
     decode, encode = codec.decode, codec.encode
@@ -171,7 +130,11 @@ def _root_gens(ring: Ring, gens: Iterable[Poly], e: int) -> tuple[Poly, ...]:
             if _unit_by_degree(ring, g, low, Q):
                 return (ring.one,)
             cols = codec.columns(words)
-            rems = list(zip(*[[b % Q for b in col] for col in cols]))
+            # every remainder entry is below Q, so these ints rank as the
+            # remainders' exponent tuples do
+            rems = [b % Q for b in cols[0]]
+            for col in cols[1:]:
+                rems = [r * Q + b % Q for r, b in zip(rems, col)]
             floors = codec.keys_of([[b // Q for b in col] for col in cols])
         parts = _components(ring, rems, floors, terms.values())
         if parts is None:

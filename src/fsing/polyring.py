@@ -248,23 +248,6 @@ class Codec:
         lift, G = (self.guard >> (_BITS - 1)) * (WORD_LIMIT - Q), self.guard
         return [w for w in words if not (w + lift) & G]
 
-    def _floor_mask(self, t: int) -> int:
-        # the bits of every field that a shift right by t leaves from the
-        # field itself (0 < t < 32)
-        return (self.guard >> (_BITS - 1)) * (_MASK >> t)
-
-    def _ranks(self, words: Sequence[int], t: int) -> list[int]:
-        # ints that rank the low t bits of each field of the words as their
-        # exponent tuples rank: t bits per variable, x_1's the highest
-        low = (1 << t) - 1
-        fields = iter(self._fields)
-        s = next(fields) * _BITS
-        ranks = [(w >> s) & low for w in words]
-        for j in fields:
-            s = j * _BITS
-            ranks = [(r << t) | ((w >> s) & low) for r, w in zip(ranks, words)]
-        return ranks
-
     def divides(self, a: int, b: int) -> bool:
         """Whether word a divides word b."""
         return ((b | self.guard) - a) & self.guard == self.guard

@@ -110,6 +110,7 @@ def je_chain(f: Poly, e_max: int) -> list[ChainLevel]:
     past its fixed point the level repeats it instead of stepping again.
     The ``equal`` flags record the comparison instead of assuming it.
     """
+    check_member(f, Poly, "the polynomial")
     check_int(e_max, "the chain length", 1)
     descent = _Descent(f)
     column = walk(partial(descent.step, 1), descent.unit)
@@ -228,6 +229,7 @@ def minimality_vs_fpt(f: Poly, e_max: int = 6) -> MinimalityFptReport:
     chain that minimalize walks on the principal module; it descends from
     (1), so it stays at (1) exactly when its fixed point does.
     """
+    check_member(f, Poly, "the multiplier")
     if not f:
         raise DomainError("the cross-check requires a nonzero multiplier")
     check_int(e_max, "the bracket level", 1)

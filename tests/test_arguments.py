@@ -24,7 +24,9 @@ from fsing import (
     buchberger,
     fpt_bracket,
     ideal_root,
+    iterate_exponent,
     je_chain,
+    minimality_vs_fpt,
     normal_form,
     nu,
     poly_root,
@@ -154,6 +156,10 @@ WRONG_TYPES = {
     "normal_form(f, [ideal])": lambda: normal_form(x, [I]),
     "Ideal(ring, [int])": lambda: Ideal(R, (1,)),
     "Poly + str": lambda: x + "y",
+    "je_chain(str)": lambda: je_chain("x", 2),
+    "je_chain(int)": lambda: je_chain(3, 2),
+    "minimality_vs_fpt(str)": lambda: minimality_vs_fpt("x"),
+    "FrobModule.principal(str)": lambda: FrobModule.principal("x"),
 }
 
 
@@ -246,6 +252,7 @@ BOOLS = {
     "je_chain(f, True)": lambda: je_chain(x * y, True),
     "fpt_bracket(f, True)": lambda: fpt_bracket(x * y, True),
     "monomial_root_oracle(m, 2, True)": lambda: monomial_root_oracle((5,), 2, True),
+    "iterate_exponent(True, 1)": lambda: iterate_exponent(True, 1),
 }
 
 
@@ -268,6 +275,13 @@ def test_a_bool_is_no_integer(call):
 def test_a_bool_is_no_exponent(call):
     with pytest.raises(DomainError, match="^bad exponent tuple"):
         call()
+
+
+@pytest.mark.parametrize("q", [1, 0, -2, 2.0, "2"])
+def test_iterate_exponent_needs_a_frobenius_power(q):
+    # q = 1 divided by zero, and q = 0 gave a number
+    with pytest.raises(DomainError, match=r"^the Frobenius power q must be an integer >= 2"):
+        iterate_exponent(q, 2)
 
 
 def test_a_bool_exponent_names_no_coefficient():

@@ -420,22 +420,38 @@ class TestNilpotentPart:
         for module in modules:
             if not module.multiplier:
                 continue
-            chain, length = module._kernel_chain(32)
+            chain, length = module._kernel_chain()
             levels = [direct_kernel(module, e) for e in range(1, length + 2)]
             assert chain == levels[length - 1]
             assert levels[length - 1] == levels[length]
             for e in range(1, length):
                 assert levels[e - 1] != levels[e]
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         (x,) = R1.gens
         # the chain for this module never stabilizes within a one-step budget
         k8 = Ideal(R1, (x**8,))
         module = FrobModule(k8, Ideal(R1, (R1.one,)), x**9)
+        monkeypatch.setattr(frobmod, "_KERNEL_BUDGET", 1)
         with pytest.raises(ResourceError) as info:
-            module._kernel_chain(1)
+            module._kernel_chain()
         assert isinstance(info.value.partial, Ideal)
         assert info.value.partial == direct_kernel(module, 2)
+
+    def test_the_budget_is_read_at_each_call(self, monkeypatch):
+        # a valid module whose chain climbs four levels: with the budget
+        # lowered after import, minimalize refuses at the last level reached
+        (x,) = R1.gens
+        module = FrobModule.validate(Ideal(R1, (x**8,)), Ideal(R1, (R1.one,)), x**9)
+        _, length = module._kernel_chain()
+        assert length >= 2
+        for budget in range(1, length):
+            monkeypatch.setattr(frobmod, "_KERNEL_BUDGET", budget)
+            with pytest.raises(ResourceError, match=f"within {budget} levels") as info:
+                module.minimalize()
+            assert info.value.partial == direct_kernel(module, budget + 1)
+        monkeypatch.setattr(frobmod, "_KERNEL_BUDGET", length)
+        assert module._kernel_chain()[1] == length
 
     def test_part_is_nilpotent(self):
         rng = random.Random(109)

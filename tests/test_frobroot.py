@@ -336,7 +336,7 @@ class TestLongGenerators:
 
 
 class TestCharacteristicTwo:
-    """The word split at p = 2, where q**e = 2**t, against plain dicts."""
+    """The split at p = 2, where q**e = 2**t, against plain dicts."""
 
     @staticmethod
     def _ideal(rng, ring, Q):
@@ -398,12 +398,8 @@ class TestCharacteristicTwo:
         assert min(seen.values()) >= 40, seen
         assert {19, 20, 32, 33, 60} <= widths
 
-    def test_from_width_20_every_floor_is_0_and_no_mask_is_built(self, monkeypatch):
+    def test_from_width_20_every_floor_is_0(self):
         # every exponent is below 2**20, so each nonzero generator gives (1)
-        def refuse(self, t):
-            raise AssertionError(f"a mask was built for t = {t}")
-
-        monkeypatch.setattr(polyring.Codec, "_floor_mask", refuse)
         for s, e in ((1, 20), (1, 10**6), (2, 10), (3, 7), (7, 3)):
             ring = Ring(p=2, var_names=("x", "y"), s=s)
             x, y = ring.gens
@@ -412,27 +408,6 @@ class TestCharacteristicTwo:
             assert _root_gens(ring, (ring.zero,), e) == ()
             assert ideal_root(Ideal(ring, (y**3,)), e).is_unit()
 
-    def test_no_term_is_decoded_or_encoded(self, monkeypatch):
-        # at p = 2 a root never turns a key into exponents, nor exponents
-        # into a key, one at a time or by columns
-        cases = [case for i, case in enumerate(self._cases()) if i % 7 == 0]
-        want = [
-            _plain_split([dict(g.terms()) for g in gens], ring.q ** min(e, FROBENIUS_LEVEL_CAP))
-            for ring, gens, e in cases
-        ]
-
-        def refuse(self, *args):
-            raise AssertionError("a term was decoded or encoded")
-
-        for name in ("decode", "encode", "columns"):
-            monkeypatch.setattr(polyring.Codec, name, refuse)
-        got = [_root_gens(ring, gens, e) for ring, gens, e in cases]
-        monkeypatch.undo()
-        for (ring, _, _), out, parts in zip(cases, got, want):
-            unit = [{(0,) * ring.n: 1}]
-            assert [dict(g.terms()) for g in out] == (unit if parts is None else parts)
-        assert sum(parts is not None for parts in want) >= 40
-
 
 class TestDegreeBound:
     """The unit root decided by the degree bound, against plain dicts.
@@ -440,8 +415,9 @@ class TestDegreeBound:
     A term of floor 0 (every exponent below Q) is its own remainder, and
     any other term of that remainder has degree at least its own plus Q.
     So a term of floor 0 above deg(g) - Q is a constant component, and
-    the root is (1) before any term is decoded (odd p) or any remainder
-    or floor key is computed (p = 2).  A lone term of floor 0 at or below
+    the columnar split finds the root (1) before any term is decoded.
+    Shorter generators, drawn at p = 2 only, are split term by term and
+    checked by their answers alone.  A lone term of floor 0 at or below
     that degree is left to ``_components``, which finds its constant; one
     that shares its remainder gives no constant.
     """
@@ -530,8 +506,8 @@ class TestDegreeBound:
                     ring = Ring(p=p, var_names=("x", "y", "z")[:n], s=s, order=order)
                     e = 1 + (i == 2 and p ** (2 * s) <= 25)
                     yield kind, ring, e, self._generator(rng, ring, ring.q**e, kind)
-        # every floor is 0 from Q >= 2**31 on at odd p, and t = 19 at p = 2
-        # is the widest split that still masks
+        # every floor is 0 from Q >= 2**31 on at odd p, and Q = 2**19 at
+        # p = 2 is the widest split below the guard
         for p, s, e, order in ((3, 1, 20, "grevlex"), (3, 2, 10, "lex"), (5, 2, 7, "elim"),
                                (5, 1, 25, "lex"), (2, 1, 19, "grevlex"), (2, 1, 19, "elim")):
             ring = Ring(p=p, var_names=("x", "y"), s=s, order=order)
@@ -551,7 +527,7 @@ class TestDegreeBound:
 
     def test_the_bound_decides_exactly_what_the_plain_split_says(self, monkeypatch):
         seen = {"fires": 0, "lone": 0, "proper": 0}
-        huge = wide = 0
+        huge = wide = refused = 0
         for kind, ring, e, Q, g, want in self._built():
             exps = [m for m, _ in g.terms()]
             low = [m for m in exps if max(m) < Q]
@@ -575,12 +551,10 @@ class TestDegreeBound:
                     def refuse(*args):
                         raise AssertionError("the degree bound should have decided")
 
-                    if ring.p == 2:
-                        m.setattr(polyring.Codec, "_ranks", refuse)
-                        m.setattr(ring._codec, "_keys", refuse)
-                    else:
+                    if len(g) >= _COLUMNAR_TERMS:
                         for name in ("columns", "decode", "keys_of"):
                             m.setattr(polyring.Codec, name, refuse)
+                        refused += ring.p == 2
                 else:
                     spied = frobroot._components
 
@@ -598,13 +572,13 @@ class TestDegreeBound:
             huge += ring.p > 2 and Q >= polyring.WORD_LIMIT
             wide += ring.p == 2 and Q == 2**19
         assert min(seen.values()) >= 20, seen
-        assert huge >= 3 and wide >= 2
+        assert huge >= 3 and wide >= 2 and refused >= 5
 
-    def test_a_long_odd_generator_reads_its_words_once(self, monkeypatch):
+    @staticmethod
+    def _word_reads(monkeypatch, cases):
+        # each root of a long generator converts its keys to words once
         calls = 0
-        for kind, ring, e, Q, g, want in self._built():
-            if ring.p == 2:
-                continue
+        for ring, e, g in cases:
             codec = ring._codec
             words = codec._words
 
@@ -617,8 +591,30 @@ class TestDegreeBound:
             with monkeypatch.context() as m:
                 m.setattr(codec, "_words", counted)
                 _root_gens(ring, (g,), e)
-            assert calls - before == 1, (kind, ring, e)
-        assert calls >= 60
+            assert calls - before == 1, (ring, e)
+        return calls
+
+    def test_a_long_odd_generator_reads_its_words_once(self, monkeypatch):
+        cases = [(ring, e, g) for _, ring, e, _, g, _ in self._built() if ring.p > 2]
+        assert self._word_reads(monkeypatch, cases) >= 60
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_a_long_generator_at_p_2_reads_its_words_once(self, s, monkeypatch):
+        rng = random.Random(f"words-{s}")
+        cases = []
+        for order in ("grevlex", "lex", "elim"):
+            ring = Ring(p=2, var_names=("x", "y", "z"), s=s, order=order)
+            for e in (1, 2):
+                for kind in ("fires", "lone", "proper"):
+                    for _ in range(3):
+                        exps = self._generator(rng, ring, ring.q**e, kind)
+                        if len(exps) >= _COLUMNAR_TERMS:
+                            cases.append((ring, e, ring.poly({m: 1 for m in exps})))
+        assert self._word_reads(monkeypatch, cases) >= 20
+        for ring, e, g in cases:
+            want = _plain_split([dict(g.terms())], ring.q**e)
+            got = [dict(h.terms()) for h in _root_gens(ring, (g,), e)]
+            assert got == ([{(0,) * ring.n: 1}] if want is None else want)
 
     @pytest.mark.parametrize("order", ["lex", "elim"])
     def test_outside_grevlex_deg_g_is_read_only_for_a_term_of_floor_0(self, order, monkeypatch):

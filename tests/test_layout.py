@@ -28,7 +28,9 @@ through the guard bits, for the engine's J-pairs, ``Codec.lcm`` and
 
 Frobenius roots decide a unit by one degree bound: ``Codec._below`` alone
 holds the guard-bit test "every field below Q", and ``frobroot`` reaches
-the bound only through ``_unit_by_degree``.
+the bound only through ``_unit_by_degree``.  Every characteristic takes
+the same root split: no function compares a characteristic ``.p`` with a
+literal.
 
 Every test-ideal chain is one descent: in ``testideals.py`` only
 ``_Descent.step`` names ``shrink_step``, so ``test_ideal``, ``je_chain``
@@ -350,7 +352,7 @@ def reads_degrees(node: ast.AST) -> bool:
 
 def test_roots_reach_the_degree_bound_through_one_helper():
     source = (pathlib.Path(fsing.__file__).parent / "frobroot.py").read_text()
-    assert functions_where(source, names_call("_unit_by_degree")) == {"_root_gens", "_root_gens_2"}
+    assert functions_where(source, names_call("_unit_by_degree")) == {"_root_gens"}
     assert functions_where(source, reads_degrees) == {"_unit_by_degree"}
 
 
@@ -360,7 +362,7 @@ def test_roots_reach_the_degree_bound_through_one_helper():
         ("def _root_gens(g):\n    return _unit_by_degree(g)\n"
          "def _unit_by_degree(g):\n    return g.ring._codec.word_degree(0)\n",
          {"_root_gens"}, {"_unit_by_degree"}),
-        ("def _root_gens_2(codec, k):\n    return codec.degree(k) > 3\n", set(), {"_root_gens_2"}),
+        ("def _split_term(codec, k):\n    return codec.degree(k) > 3\n", set(), {"_split_term"}),
         ("def f(g):\n    return g.total_degree()\n", set(), set()),
     ],
     ids=["helper", "inline-degree", "other-name"],
@@ -369,6 +371,48 @@ def test_the_helper_scans_find_planted_reads(source, callers, readers):
     assert functions_where(source, names_call("_unit_by_degree")) == callers
     assert functions_where(source, reads_degrees) == readers
 
+
+def compares_characteristic(node: ast.AST) -> bool:
+    """Whether ``node`` compares an attribute ``.p`` with a literal, such as
+    ``ring.p == 2`` or ``self.p in (2, 3)``: a branch on the characteristic."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+
+    def literal(side: ast.AST) -> bool:
+        if isinstance(side, (ast.Tuple, ast.List, ast.Set)):
+            return all(isinstance(item, ast.Constant) for item in side.elts)
+        return isinstance(side, ast.Constant)
+
+    return any(isinstance(side, ast.Attribute) and side.attr == "p" for side in sides) and any(
+        map(literal, sides)
+    )
+
+
+def test_one_root_split_for_every_characteristic():
+    package = pathlib.Path(fsing.__file__).parent
+    found = {
+        (path.name, name)
+        for path in sorted(package.glob("*.py"))
+        for name in functions_where(path.read_text(), compares_characteristic)
+    }
+    assert found == set()
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def _root_gens(ring, gens, e):\n    if ring.p == 2:\n"
+         "        return _split_2(ring, gens, e)\n    return ()\n",
+         {"_root_gens"}),
+        ("class Codec:\n    def f(self, ring):\n        return 2 < ring.p\n", {"Codec.f"}),
+        ("def f(ring):\n    return ring.p not in (2, 3)\n", {"f"}),
+        ("def f(self, n):\n    return self.p >= PRIME_BOUND or n == 2\n", set()),
+    ],
+    ids=["dispatch", "method-literal-left", "tuple-of-literals", "no-literal"],
+)
+def test_the_characteristic_scan_finds_a_planted_branch(source, found):
+    assert functions_where(source, compares_characteristic) == found
 
 
 def names(name: str) -> Callable[[ast.AST], bool]:

@@ -306,8 +306,9 @@ def test_oracle_import_detector(source, expected):
 
 
 def _dead_helpers(trees: dict[str, ast.AST]) -> list[str]:
-    # module-level ``_private`` functions and classes that no code in any
-    # of the modules names, apart from the helper's own body
+    # module-level ``_private`` functions and classes, and ``_private``
+    # methods of module-level classes, that no code in any of the modules
+    # names, apart from the helper's own body
     def referenced(node: ast.AST) -> list[str]:
         return [
             n.id if isinstance(n, ast.Name) else n.attr
@@ -319,21 +320,33 @@ def _dead_helpers(trees: dict[str, ast.AST]) -> list[str]:
     for tree in trees.values():
         for name in referenced(tree):
             everywhere[name] = everywhere.get(name, 0) + 1
+    def private(node: ast.AST) -> bool:
+        return (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.endswith("__")
+        )
+
+    def unnamed(node: ast.AST) -> bool:
+        return everywhere.get(node.name, 0) == referenced(node).count(node.name)
+
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if not name.startswith("_") or name.endswith("__"):
-                continue
-            if everywhere.get(name, 0) == referenced(node).count(name):
-                dead.append(f"{module}:{name}")
+            if private(node) and unnamed(node):
+                dead.append(f"{module}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [
+                    f"{module}:{node.name}.{method.name}"
+                    for method in node.body
+                    if private(method) and not isinstance(method, ast.ClassDef) and unnamed(method)
+                ]
     return dead
 
 
 def test_no_dead_helpers():
-    # every private module-level helper in the package has a caller there
+    # every private module-level helper and private method in the package
+    # has a caller there
     package = pathlib.Path(fsing.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
     assert _dead_helpers(trees) == []
@@ -353,6 +366,15 @@ def test_no_dead_helpers():
         ({"a": "def f():\n    def _inner():\n        pass"}, []),
         ({"a": "def __getattr__(name):\n    pass"}, []),
         ({"a": "def public():\n    pass"}, []),
+        ({"a": "class Codec:\n    def _ranks(self, t):\n        pass"}, ["a:Codec._ranks"]),
+        ({"a": "class _C:\n    def _loop(self):\n        return self._loop()"},
+         ["a:_C", "a:_C._loop"]),
+        ({"a": "class C:\n    def _used(self):\n        pass\n\n"
+               "    def f(self):\n        return self._used()"}, []),
+        ({"a": "class C:\n    def _helper(self):\n        pass",
+          "b": "def f(c):\n    return c._helper()"}, []),
+        ({"a": "class C:\n    def __init__(self):\n        pass\n\n"
+               "    def public(self):\n        pass"}, []),
     ],
 )
 def test_dead_helper_detector(sources, expected):
